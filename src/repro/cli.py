@@ -72,7 +72,7 @@ from repro.errors import (
 from repro.flows import METHODS, prepare_circuit, run_flow
 from repro.harness import ExperimentSuite
 from repro.harness.paper import PAPER_TABLE1
-from repro.sim import estimate_error_rate
+from repro.sim import SIM_BACKENDS, estimate_error_rate
 from repro.store import open_store, use_store
 
 #: Exit codes per failure class (see module docstring).
@@ -590,11 +590,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--cycles", type=int, default=192)
     run.add_argument(
         "--sim-backend", default="compiled",
-        choices=["event", "compiled", "vector"],
-        help="Table VIII simulation backend: the compile-once kernel"
-             " (default), the reference event-driven simulator, or the"
-             " lane-vectorized multi-seed engine; all three produce"
-             " bit-identical reports",
+        choices=list(SIM_BACKENDS),
+        help="Table VIII simulation backend: the compiled lane engine"
+             " (default) or the reference event-driven simulator; both"
+             " produce bit-identical reports",
     )
     run.add_argument(
         "--sta-mode", default="incremental",
@@ -655,10 +654,9 @@ def build_parser() -> argparse.ArgumentParser:
     tables.add_argument("--cycles", type=int, default=128)
     tables.add_argument(
         "--sim-backend", default="compiled",
-        choices=["event", "compiled", "vector"],
+        choices=list(SIM_BACKENDS),
         help="Table VIII simulation backend (bit-identical reports;"
-             " 'compiled' is several times faster, 'vector' batches"
-             " seeds into NumPy lanes)",
+             " 'compiled' is several times faster than 'event')",
     )
     tables.add_argument(
         "--sta-mode", default="incremental",
@@ -817,8 +815,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scen.add_argument(
         "--sim-backend", default="compiled",
-        choices=["event", "compiled", "vector"],
-        help="simulation backend; all honour injection plans"
+        choices=list(SIM_BACKENDS),
+        help="simulation backend; both honour injection plans"
              " bit-identically and render the identical report file",
     )
     scen.add_argument(

@@ -18,12 +18,13 @@ physical phenomena the paper's resilient latches exist to survive:
 All three are expressed as an :class:`InjectionPlan` — a fully
 resolved, deterministic schedule computed *before* simulation from an
 explicit :class:`random.Random` — so both simulation backends
-(:class:`~repro.sim.logicsim.TimedSimulator` and
-:class:`~repro.sim.kernel.CompiledSimulator`) honour the exact same
+(the event :class:`~repro.sim.logicsim.TimedSimulator` and the
+compiled lane engine, :mod:`repro.sim.vector`) honour the exact same
 perturbations and their bit-parity oracle keeps holding under
 injection.  The waveform transforms below are pure functions over the
-``(initial, times, values)`` event-list form shared by both backends:
-no backend-specific float arithmetic can creep in.
+``(initial, times, values)`` event-list form; the lane engine's
+``_glitch_lanes`` is their array twin, with no float arithmetic of
+its own.
 """
 
 from __future__ import annotations

@@ -5,8 +5,13 @@ simulation: an error occurs in a cycle when the data at an
 error-detecting master toggles inside the timing-resiliency window.
 :class:`TimedSimulator` produces per-net transition waveforms under a
 transport-delay model (per-pin delays from the same calculators STA
-uses); :func:`estimate_error_rate` drives it cycle by cycle over a
-slave-latch placement and counts window violations.
+uses) and is the reference oracle; the default ``"compiled"``
+backend compiles the cycle-invariant work once
+(:class:`CompiledSimulator`) and runs every Monte-Carlo seed as a lane
+of one array pass (:mod:`repro.sim.vector`).
+:func:`estimate_error_rate_batched` drives either backend over a
+slave-latch placement and counts window violations;
+:func:`estimate_error_rate` is its single-seed form.
 """
 
 from repro.sim.logicsim import (
@@ -23,7 +28,6 @@ from repro.sim.errorrate import (
     estimate_error_rate,
 )
 from repro.sim.batch import estimate_error_rate_batched
-from repro.sim.vector import estimate_error_rate_vector
 from repro.sim.vcd import vcd_text, write_vcd
 
 __all__ = [
@@ -38,7 +42,6 @@ __all__ = [
     "ErrorRateReport",
     "estimate_error_rate",
     "estimate_error_rate_batched",
-    "estimate_error_rate_vector",
     "vcd_text",
     "write_vcd",
 ]

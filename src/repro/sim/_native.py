@@ -1,29 +1,29 @@
-"""Compiled gate-evaluation helper for the vector backend.
+"""C gate and latch stages for the lane engine.
 
-The lane-vectorized backend keeps all simulation state in NumPy
-arrays (``repro.sim.vector``), but the per-level gate transform —
-candidate merge, per-pin value cursors, causing-pin window, arc-delay
-max, preemption and value pruning — is a chain of many small array
-ops whose per-op dispatch cost dominates at realistic lane counts.
-This module builds that one transform as a tiny C routine operating
-directly on the backend's global ``(slot, lane, event)`` arrays, the
-same way NumPy's own ufunc loops do: one call per topological level
-advances every gate and every lane.
+The lane engine (:mod:`repro.sim.vector`) keeps all simulation state
+in NumPy arrays, but the per-level gate transform — candidate merge,
+per-pin value cursors, causing-pin window, arc-delay max, preemption
+and value pruning — is a chain of many small array ops whose per-op
+dispatch cost dominates at realistic lane counts.  This module builds
+that one transform as a tiny C routine operating directly on the
+engine's global ``(slot, lane, event)`` arrays, the same way NumPy's
+own ufunc loops do: one call per topological level advances every
+gate and every lane.
 
-The C loop is a line-for-line mirror of
-:meth:`repro.sim.kernel.CompiledSimulator.run_cycle`'s candidate
-loop (same double-precision operations in the same order: the only
-float arithmetic is ``when - eps`` / ``when + eps`` / ``when +
-delay``, compiled with ``-ffp-contract=off`` so no fused ops can
-change a result), so it is bit-exact against the event and compiled
-oracles by construction.
+The C loop mirrors the event simulator's gate evaluation,
+:meth:`repro.sim.logicsim.TimedSimulator._evaluate_gate`, and
+``eval_latches`` mirrors its ``_latch_transform`` (same double-precision
+operations in the same order: the only float arithmetic is ``when -
+eps`` / ``when + eps`` / ``when + delay``, compiled with
+``-ffp-contract=off`` so no fused ops can change a result), so it is
+bit-exact against the event oracle.
 
-The helper is optional: it compiles lazily with the system C
-compiler into a content-hashed shared object under the temp
-directory (atomic rename, safe for concurrent workers).  When no
-compiler is available — or ``REPRO_VECTOR_NATIVE=0`` is set — the
-vector backend transparently falls back to its pure-NumPy gate
-stage, which implements identical semantics.
+The helper is optional: it compiles lazily with the system C compiler
+into a content-hashed shared object in a private per-user cache
+directory (atomic rename, safe for concurrent workers).  When it
+cannot be used — ``REPRO_VECTOR_NATIVE=0``, no compiler, a failed
+compile or a failed load — the lane engine runs its pure-NumPy stage,
+which implements identical semantics, and :func:`load` says why.
 """
 
 from __future__ import annotations
@@ -32,9 +32,10 @@ import ctypes
 import hashlib
 import os
 import shutil
+import stat
 import subprocess
 import tempfile
-from typing import Optional
+from typing import Optional, Tuple
 
 _SOURCE = r"""
 #include <stdint.h>
@@ -108,8 +109,8 @@ int eval_gates(
                     if (!any)
                         break;
                     n_cand++;
-                    /* advance value cursors through `when` (mirrors
-                     * the kernel's inclusive value_at) */
+                    /* advance value cursors through `when` (the
+                     * inclusive Waveform.value_at) */
                     for (int64_t p = 0; p < kmax; p++) {
                         int64_t c = cur[p], e = len[p];
                         if (c < e && tin[p][c] <= when) {
@@ -125,7 +126,7 @@ int eval_gates(
                     int64_t new_value = tab[mask];
                     double delay;
                     if (single[g]) {
-                        /* kernel 1-input fast path: the single pin
+                        /* a true 1-input gate: the single pin
                          * always causes, no eps-window test */
                         delay = gdel[new_value];
                     } else {
@@ -183,8 +184,8 @@ int eval_gates(
     return 0;
 }
 
-/* One stage of cloud-latch transforms across all lanes: the kernel's
- * `_latch_transform` loop per (latch, lane).  Source and destination
+/* One stage of cloud-latch transforms across all lanes: the event
+ * simulator's `_latch_transform` per (latch, lane).  Source and destination
  * slots are distinct by construction (each latch owns its output
  * slot), so writing the output row never clobbers unread input.
  * `held` is (n_rows, n_lanes): the latch's carried state, which is
@@ -250,78 +251,116 @@ int eval_latches(
 """
 
 
-def _cache_path(digest: str) -> str:
-    return os.path.join(
-        tempfile.gettempdir(), "repro-veval-%s.so" % digest[:16]
-    )
+def _private_dir(path: str) -> Optional[str]:
+    """``path`` as a private cache directory, or ``None`` to refuse it.
 
-
-def _compile(digest: str) -> str:
-    """Compile the helper into the temp dir (atomic, concurrent-safe)."""
-    target = _cache_path(digest)
-    if os.path.exists(target):
-        return target
-    compiler = shutil.which("cc") or shutil.which("gcc")
-    if compiler is None:
-        raise OSError("no C compiler on PATH")
-    workdir = tempfile.mkdtemp(prefix="repro-veval-")
+    The directory is created with mode 0700 when missing.  A symlink,
+    a non-directory, another user's directory, or one that group or
+    others can write is refused: whoever can write there can plant the
+    shared object this module loads.
+    """
     try:
-        src = os.path.join(workdir, "veval.c")
-        obj = os.path.join(workdir, "veval.so")
-        with open(src, "w", encoding="utf-8") as fh:
-            fh.write(_SOURCE)
-        subprocess.run(
-            [
-                compiler,
-                "-O2",
-                "-fPIC",
-                "-shared",
-                "-ffp-contract=off",
-                src,
-                "-o",
-                obj,
-            ],
-            check=True,
-            capture_output=True,
-        )
-        os.replace(obj, target)  # atomic: last concurrent writer wins
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
-    return target
-
-
-_UNSET = object()
-_lib: object = _UNSET
-
-
-def load() -> Optional[ctypes.CDLL]:
-    """The compiled helper, or ``None`` when unavailable/disabled."""
-    global _lib
-    if _lib is not _UNSET:
-        return _lib  # type: ignore[return-value]
-    if os.environ.get("REPRO_VECTOR_NATIVE", "1") == "0":
-        _lib = None
+        try:
+            os.mkdir(path, 0o700)
+        except FileExistsError:
+            pass
+        info = os.lstat(path)
+    except OSError:
         return None
-    try:
-        digest = hashlib.sha256(_SOURCE.encode("utf-8")).hexdigest()
-        lib = ctypes.CDLL(_compile(digest))
-        fn = lib.eval_gates
-        fn.restype = ctypes.c_int
-        fn.argtypes = [ctypes.c_int64] * 4 + [ctypes.c_void_p] * 9 + [
-            ctypes.c_int64,
-            ctypes.c_double,
-            ctypes.c_void_p,
-            ctypes.c_void_p,
-        ]
-        fl = lib.eval_latches
-        fl.restype = ctypes.c_int
-        fl.argtypes = (
-            [ctypes.c_int64] * 3
-            + [ctypes.c_void_p] * 3
-            + [ctypes.c_double] * 4
-            + [ctypes.c_void_p] * 4
+    if (
+        stat.S_ISLNK(info.st_mode)
+        or not stat.S_ISDIR(info.st_mode)
+        or info.st_uid != os.getuid()
+        or info.st_mode & (stat.S_IWGRP | stat.S_IWOTH)
+    ):
+        return None
+    return path
+
+
+def _build(compiler: str, workdir: str) -> str:
+    """Compile the helper inside ``workdir``; returns the object path."""
+    src = os.path.join(workdir, "veval.c")
+    obj = os.path.join(workdir, "veval.so")
+    with open(src, "w", encoding="utf-8") as fh:
+        fh.write(_SOURCE)
+    subprocess.run(
+        [compiler, "-O2", "-fPIC", "-shared", "-ffp-contract=off",
+         src, "-o", obj],
+        check=True,
+        capture_output=True,
+    )
+    return obj
+
+
+def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
+    fn = lib.eval_gates
+    fn.restype = ctypes.c_int
+    fn.argtypes = [ctypes.c_int64] * 4 + [ctypes.c_void_p] * 9 + [
+        ctypes.c_int64,
+        ctypes.c_double,
+        ctypes.c_void_p,
+        ctypes.c_void_p,
+    ]
+    fl = lib.eval_latches
+    fl.restype = ctypes.c_int
+    fl.argtypes = (
+        [ctypes.c_int64] * 3
+        + [ctypes.c_void_p] * 3
+        + [ctypes.c_double] * 4
+        + [ctypes.c_void_p] * 4
+    )
+    return lib
+
+
+def _load() -> Tuple[Optional[ctypes.CDLL], Optional[str]]:
+    """Uncached :func:`load`."""
+    if os.environ.get("REPRO_VECTOR_NATIVE", "1") == "0":
+        return None, "disabled"
+    digest = hashlib.sha256(_SOURCE.encode("utf-8")).hexdigest()
+    cache = None
+    if hasattr(os, "getuid"):
+        cache = _private_dir(
+            os.path.join(tempfile.gettempdir(), "repro-%d" % os.getuid())
         )
-        _lib = lib
-    except Exception:
-        _lib = None
-    return _lib  # type: ignore[return-value]
+    # A refused cache directory means a one-off build in a fresh
+    # private mkdtemp, deleted once the object is loaded.
+    target = (
+        os.path.join(cache, "veval-%s.so" % digest[:16]) if cache else None
+    )
+    workdir = None
+    try:
+        if target is None or not os.path.exists(target):
+            compiler = shutil.which("cc") or shutil.which("gcc")
+            if compiler is None:
+                return None, "no-compiler"
+            workdir = tempfile.mkdtemp(prefix="repro-veval-")
+            try:
+                built = _build(compiler, workdir)
+                if target is None:
+                    target = built
+                else:
+                    # Atomic: the last concurrent writer wins.
+                    os.replace(built, target)
+            except (OSError, subprocess.SubprocessError):
+                return None, "compile-failed"
+        try:
+            return _bind(ctypes.CDLL(target)), None
+        except (OSError, AttributeError):
+            return None, "load-failed"
+    finally:
+        if workdir is not None:
+            shutil.rmtree(workdir, ignore_errors=True)
+
+
+_loaded: Optional[Tuple[Optional[ctypes.CDLL], Optional[str]]] = None
+
+
+def load() -> Tuple[Optional[ctypes.CDLL], Optional[str]]:
+    """``(helper, None)``, or ``(None, reason)`` when the NumPy stage
+    must run instead: ``"disabled"``, ``"no-compiler"``,
+    ``"compile-failed"`` or ``"load-failed"``.  The outcome is cached
+    for the process."""
+    global _loaded
+    if _loaded is None:
+        _loaded = _load()
+    return _loaded

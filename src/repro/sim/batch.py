@@ -1,26 +1,23 @@
-"""Batched Monte-Carlo error-rate estimation: one compile, many seeds.
+"""The error-rate estimator: one call, any number of seeds.
 
-:func:`~repro.sim.errorrate.estimate_error_rate` pays the
-cycle-invariant setup — the :class:`~repro.sim.kernel.CompiledSimulator`
-compile (topological schedule, arc delays, truth tables) — once per
-*seed*.  A Monte-Carlo sweep over many vector seeds on a fixed
-``(circuit, placement, plan)`` re-derives the identical compile every
-time; on the Table-VIII-scale circuits that compile dominates short
-runs.
+:func:`estimate_error_rate_batched` is the one place that maps a
+backend name to an implementation.  It validates the backend and the
+injection plan, builds the backend's cycle-invariant setup once for
+the whole seed sweep, runs every seed through it, times the run and
+counts its metrics:
 
-:func:`estimate_error_rate_batched` hoists the compile out of the seed
-loop: one shared :class:`~repro.sim.errorrate._CycleLoop` (kernel or
-event simulator, endpoint/flop key tables, injection plan validation),
-then one independent lane of mutable state per seed, advanced
-cycle-major through the shared loop.
+* ``"compiled"`` — the :class:`~repro.sim.kernel.CompiledSimulator`
+  compile, run by the lane engine (:func:`repro.sim.vector.simulate`)
+  with the C gate stage when :func:`repro.sim._native.load` provides
+  it, else the NumPy stage;
+* ``"event"`` — the reference event simulator, one lane of per-seed
+  state at a time (:class:`~repro.sim.errorrate._CycleLoop`).
 
-**Parity is structural**: each lane owns its own
-:class:`~repro.sim.vectors.VectorSource`, flop values and latch state,
-and every cycle runs through the *same* :meth:`_CycleLoop.step` the
-sequential estimator uses — there is no second copy of the window
-scan, capture, or SEU bookkeeping to drift.  The reports are therefore
-comparison-identical to calling ``estimate_error_rate`` once per seed
-(``tests/test_arena.py`` pins this, including under injection plans).
+Each seed's report is independent of the others in the sweep, so a
+report is comparison-identical to a single-seed
+:func:`~repro.sim.errorrate.estimate_error_rate` call, and the two
+backends' reports are comparison-identical to each other
+(``tests/test_sim_vector.py`` pins both).
 """
 
 from __future__ import annotations
@@ -32,7 +29,14 @@ from repro import metrics
 from repro.latches.placement import SlavePlacement
 from repro.latches.resilient import TwoPhaseCircuit
 from repro.scenarios.injectors import InjectionPlan
-from repro.sim.errorrate import ErrorRateReport, _CycleLoop
+from repro.sim import _native, vector
+from repro.sim.errorrate import (
+    SIM_BACKENDS,
+    ErrorRateReport,
+    _check_plan_targets,
+    _CycleLoop,
+)
+from repro.sim.kernel import CompiledSimulator
 from repro.sim.logicsim import MAX_EVENTS_PER_NET
 
 
@@ -47,65 +51,74 @@ def estimate_error_rate_batched(
     max_events_per_net: int = MAX_EVENTS_PER_NET,
     injection: Optional[InjectionPlan] = None,
 ) -> List[ErrorRateReport]:
-    """Error-rate reports for every seed, sharing one simulator compile.
+    """Error-rate reports for every seed, sharing one simulator setup.
 
     Returns one :class:`~repro.sim.errorrate.ErrorRateReport` per entry
-    of ``seeds``, in order, each comparison-equal to
-    ``estimate_error_rate(..., seed=s)`` with the same arguments.  The
-    ``cycles_per_sec`` field (excluded from report comparison) carries
-    the *aggregate* batch throughput — total lane-cycles over the
-    shared wall clock — since the per-lane split of a batched pass is
-    not meaningful.
+    of ``seeds``, in order.  The ``cycles_per_sec`` field (excluded
+    from report comparison) carries the *aggregate* throughput — total
+    lane-cycles over the call's wall clock, setup included — since the
+    per-lane split of a batched pass is not meaningful.
     """
+    if backend not in SIM_BACKENDS:
+        raise ValueError(
+            f"unknown simulation backend {backend!r}; "
+            f"expected one of {SIM_BACKENDS}"
+        )
     plan = injection or InjectionPlan()
-    if backend == "vector":
-        from repro.sim.vector import estimate_error_rate_vector
-
-        return estimate_error_rate_vector(
+    _check_plan_targets(circuit.netlist, plan, placement)
+    started = time.perf_counter()
+    if backend == "event":
+        loop = _CycleLoop(
+            circuit, placement, edl_endpoints, plan, max_events_per_net
+        )
+        reports = loop.run(cycles, seeds, toggle_probability)
+    else:
+        kernel = CompiledSimulator(
             circuit,
             placement,
-            edl_endpoints,
-            cycles=cycles,
-            seeds=seeds,
-            toggle_probability=toggle_probability,
             max_events_per_net=max_events_per_net,
-            injection=injection,
+            delay_scale=plan.delay_scale,
         )
-    loop = _CycleLoop(
-        circuit, placement, edl_endpoints, plan, backend, max_events_per_net
-    )
-    lanes = [
-        loop.new_lane(cycles, seed, toggle_probability) for seed in seeds
-    ]
-
-    started = time.perf_counter()
-    # Cycle-major: glitch/SEU schedules index by cycle, so one pass
-    # over the schedule serves every lane; per-lane state keeps the
-    # lanes fully independent regardless of interleaving order.
-    for cycle in range(cycles):
-        for lane in lanes:
-            loop.step(cycle, lane)
+        native, fallback = _native.load()
+        reports = vector.simulate(
+            kernel,
+            edl_endpoints,
+            cycles,
+            seeds,
+            toggle_probability,
+            plan,
+            native,
+        )
+        if native is not None:
+            metrics.count("sim.stage.native")
+        else:
+            metrics.count("sim.stage.numpy")
+            metrics.count(f"sim.stage.fallback.{fallback}")
     wall_s = time.perf_counter() - started
 
-    reports = [loop.finish(lane) for lane in lanes]
-    total_cycles = cycles * len(lanes)
-    if wall_s > 0.0:
-        throughput = total_cycles / wall_s
-        for report in reports:
-            report.cycles_per_sec = throughput
+    total_cycles = cycles * len(reports)
+    throughput = total_cycles / wall_s if wall_s > 0.0 else None
+    for report in reports:
+        report.backend = backend
+        report.cycles_per_sec = throughput
 
     metrics.count("sim.batched.runs")
-    metrics.count("sim.batched.lanes", len(lanes))
+    metrics.count("sim.batched.lanes", len(reports))
     metrics.count(f"sim.backend.{backend}")
     metrics.count("sim.cycles", total_cycles)
+    # A wall-clock measurement is a gauge, not an event count — it
+    # lives under "values" in bench artifacts, not "counters".
     metrics.record_value("sim.wall_s", wall_s)
-    if not plan.empty and lanes:
+    if not plan.empty and reports:
         counts = plan.counts()
-        metrics.count("sim.inject.runs", len(lanes))
+        flips = sum(len(plan.seu_flips.get(c, ())) for c in range(cycles))
+        metrics.count("sim.inject.runs", len(reports))
         metrics.count(
-            "sim.inject.glitches", counts["glitches"] * len(lanes)
+            "sim.inject.glitches", counts["glitches"] * len(reports)
         )
         metrics.count(
-            "sim.inject.scaled_gates", counts["scaled_gates"] * len(lanes)
+            "sim.inject.scaled_gates", counts["scaled_gates"] * len(reports)
         )
+        if flips:
+            metrics.count("sim.inject.seu_flips", flips * len(reports))
     return reports

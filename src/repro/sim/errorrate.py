@@ -7,27 +7,26 @@ error-detecting master transitions inside the timing-resiliency window
 the window — the flows' constraints guarantee it, and the estimator
 verifies it (``non_edl_violations``).
 
-Two interchangeable backends evaluate the cycles:
+Two backends evaluate the cycles, both behind
+:func:`~repro.sim.batch.estimate_error_rate_batched`:
 
 * ``"event"`` — the reference :class:`~repro.sim.logicsim.TimedSimulator`,
-  re-deriving delays and waveform lookups per cycle;
-* ``"compiled"`` (default) — :class:`~repro.sim.kernel.CompiledSimulator`,
-  which compiles the cycle-invariant work once and is bit-identical to
-  the event backend (the parity test in
-  ``tests/test_sim_regressions.py`` is the acceptance gate);
-* ``"vector"`` — :mod:`repro.sim.vector`, which reuses the compiled
-  schedule but makes the Monte-Carlo seed axis a NumPy array
-  dimension, advancing every seed per pass (bit-identical per-seed
-  reports; single-seed calls run as one lane).
+  re-deriving delays and waveform lookups per cycle, one lane of
+  per-seed state at a time (:class:`_CycleLoop`);
+* ``"compiled"`` (default) — the cycle-invariant compile
+  (:class:`~repro.sim.kernel.CompiledSimulator`) run by the lane
+  engine (:mod:`repro.sim.vector`), which advances every seed per
+  pass; its reports are comparison-identical to the event backend's
+  (``tests/test_sim_vector.py`` is the acceptance gate).
+
+:func:`estimate_error_rate` is the single-seed form of that call.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set
 
-from repro import metrics
 from repro.cells.edl import window_has_transition
 from repro.errors import SimulationError
 from repro.latches.placement import SlavePlacement
@@ -38,7 +37,7 @@ from repro.sim.logicsim import MAX_EVENTS_PER_NET, TimedSimulator
 from repro.sim.vectors import VectorSource
 
 #: Valid values of the ``backend`` switch.
-SIM_BACKENDS = ("event", "compiled", "vector")
+SIM_BACKENDS = ("event", "compiled")
 
 
 @dataclass
@@ -131,14 +130,10 @@ class _LaneState:
 
 
 class _CycleLoop:
-    """Cycle-invariant simulation setup plus the per-cycle bookkeeping.
-
-    Both :func:`estimate_error_rate` and
-    :func:`~repro.sim.batch.estimate_error_rate_batched` drive their
-    cycles through :meth:`step`, so the batched estimator is
-    bit-identical to running the sequential one per seed *by
-    construction* — there is exactly one copy of the window scan, the
-    settled-value capture, and the SEU flip logic.
+    """The event backend: one :class:`TimedSimulator` for a fixed
+    (circuit, placement, plan), plus the per-cycle bookkeeping —
+    window scan, settled-value capture and SEU flips — for each lane
+    of mutable per-seed state.
     """
 
     def __init__(
@@ -147,57 +142,20 @@ class _CycleLoop:
         placement: SlavePlacement,
         edl_endpoints: Set[str],
         plan: InjectionPlan,
-        backend: str,
         max_events_per_net: int,
     ) -> None:
-        if backend not in SIM_BACKENDS:
-            raise ValueError(
-                f"unknown simulation backend {backend!r}; "
-                f"expected one of {SIM_BACKENDS}"
-            )
-        if backend == "vector":
-            raise ValueError(
-                "_CycleLoop drives the per-lane dict backends; the "
-                "vector backend advances all lanes at once — callers "
-                "dispatch to repro.sim.vector before building the loop"
-            )
         netlist = circuit.netlist
-        _check_plan_targets(netlist, plan, placement)
-        self.backend = backend
+        self.placement = placement
         self.plan = plan
         self.edl_endpoints = edl_endpoints
         scheme = circuit.scheme
         self.window_open = scheme.window_open
         self.window_close = scheme.window_close
-
-        # The compile (kernel) / construction (event) cost is paid
-        # once here, shared by every lane stepped through this loop.
-        if backend == "compiled":
-            from repro.sim.kernel import CompiledSimulator
-
-            kernel = CompiledSimulator(
-                circuit,
-                placement,
-                max_events_per_net=max_events_per_net,
-                delay_scale=plan.delay_scale,
-            )
-
-            def run_cycle(launch, state, glitches):
-                return kernel.run_cycle(launch, state, glitches=glitches)
-
-        else:
-            simulator = TimedSimulator(
-                circuit,
-                max_events_per_net=max_events_per_net,
-                delay_scale=plan.delay_scale,
-            )
-
-            def run_cycle(launch, state, glitches):
-                return simulator.run_cycle(
-                    launch, placement, state, glitches=glitches
-                )
-
-        self.run_cycle = run_cycle
+        self.simulator = TimedSimulator(
+            circuit,
+            max_events_per_net=max_events_per_net,
+            delay_scale=plan.delay_scale,
+        )
         self.pi_names = [g.name for g in netlist.inputs()]
         # (endpoint name, waveform key) pairs, hoisted out of the loop.
         self.endpoint_keys = [
@@ -210,30 +168,43 @@ class _CycleLoop:
         self.flop_keys = [(g.name, f"{g.name}::d") for g in netlist.flops()]
         self.flop_names = {name for name, _ in self.flop_keys}
 
-    def new_lane(
-        self, cycles: int, seed: int, toggle_probability: float
-    ) -> _LaneState:
-        """Fresh lane state for one seed (zeroed flops, empty latches)."""
-        return _LaneState(
-            source=VectorSource(
-                self.pi_names,
-                seed=seed,
-                toggle_probability=toggle_probability,
-            ),
-            report=ErrorRateReport(
-                cycles=cycles, error_cycles=0, backend=self.backend
-            ),
-            latch_state={},
-            flop_values={name: 0 for name, _ in self.flop_keys},
-        )
+    def run(
+        self, cycles: int, seeds: Sequence[int], toggle_probability: float
+    ) -> List[ErrorRateReport]:
+        """One report per seed.  Cycle-major: glitch/SEU schedules
+        index by cycle, and per-lane state keeps the lanes independent
+        regardless of interleaving order."""
+        lanes = [
+            _LaneState(
+                source=VectorSource(
+                    self.pi_names,
+                    seed=seed,
+                    toggle_probability=toggle_probability,
+                ),
+                report=ErrorRateReport(cycles=cycles, error_cycles=0),
+                latch_state={},
+                flop_values={name: 0 for name, _ in self.flop_keys},
+            )
+            for seed in seeds
+        ]
+        for cycle in range(cycles):
+            for lane in lanes:
+                self._step(cycle, lane)
+        for lane in lanes:
+            lane.report.final_flop_state = dict(lane.flop_values)
+            lane.report.final_latch_state = dict(lane.latch_state)
+        return [lane.report for lane in lanes]
 
-    def step(self, cycle: int, lane: _LaneState) -> None:
+    def _step(self, cycle: int, lane: _LaneState) -> None:
         """Advance one lane through one cycle."""
         report = lane.report
         launch = dict(lane.flop_values)
         launch.update(lane.source.next_vector())
-        waves = self.run_cycle(
-            launch, lane.latch_state, self.plan.glitches.get(cycle, ())
+        waves = self.simulator.run_cycle(
+            launch,
+            self.placement,
+            lane.latch_state,
+            glitches=self.plan.glitches.get(cycle, ()),
         )
 
         cycle_error = False
@@ -264,8 +235,7 @@ class _CycleLoop:
 
         # SEU capture flips strike the carried-over state *after* this
         # cycle's capture settles — a particle inverting the stored
-        # bit.  Applied to the shared state dicts, so both backends
-        # see the identical corruption by construction.
+        # bit.
         for target in self.plan.seu_flips.get(cycle, ()):
             if target in self.flop_names:
                 lane.flop_values[target] = 1 - lane.flop_values[target]
@@ -273,13 +243,6 @@ class _CycleLoop:
                 lane.latch_state[target] = 1 - lane.latch_state.get(
                     target, 0
                 )
-            metrics.count("sim.inject.seu_flips")
-
-    def finish(self, lane: _LaneState) -> ErrorRateReport:
-        """Seal a lane's report with its final state snapshots."""
-        lane.report.final_flop_state = dict(lane.flop_values)
-        lane.report.final_latch_state = dict(lane.latch_state)
-        return lane.report
 
 
 def estimate_error_rate(
@@ -295,47 +258,25 @@ def estimate_error_rate(
 ) -> ErrorRateReport:
     """Random-input error-rate simulation of a retimed design.
 
+    The single-seed form of
+    :func:`~repro.sim.batch.estimate_error_rate_batched`: the same
+    validation, dispatch and metrics, for ``seeds=(seed,)``.
     ``injection`` perturbs the run with a resolved
     :class:`~repro.scenarios.injectors.InjectionPlan` — delay-corner
     scaling, per-cycle glitch pulses, and SEU capture-state flips.
-    Both backends honour the same plan identically (the bit-parity
-    contract extends to injected runs).
+    Both backends honour the same plan identically.
     """
-    plan = injection or InjectionPlan()
-    if backend == "vector":
-        from repro.sim.vector import estimate_error_rate_vector
+    # Resolved at call time: batch imports this module.
+    from repro.sim.batch import estimate_error_rate_batched
 
-        return estimate_error_rate_vector(
-            circuit,
-            placement,
-            edl_endpoints,
-            cycles=cycles,
-            seeds=(seed,),
-            toggle_probability=toggle_probability,
-            max_events_per_net=max_events_per_net,
-            injection=injection,
-        )[0]
-    loop = _CycleLoop(
-        circuit, placement, edl_endpoints, plan, backend, max_events_per_net
-    )
-    lane = loop.new_lane(cycles, seed, toggle_probability)
-    report = lane.report
-
-    started = time.perf_counter()
-    for cycle in range(cycles):
-        loop.step(cycle, lane)
-    wall_s = time.perf_counter() - started
-    loop.finish(lane)
-    if wall_s > 0.0:
-        report.cycles_per_sec = cycles / wall_s
-    metrics.count(f"sim.backend.{backend}")
-    metrics.count("sim.cycles", cycles)
-    # A wall-clock measurement is a gauge, not an event count — it
-    # lives under "values" in bench artifacts, not "counters".
-    metrics.record_value("sim.wall_s", wall_s)
-    if not plan.empty:
-        counts = plan.counts()
-        metrics.count("sim.inject.runs")
-        metrics.count("sim.inject.glitches", counts["glitches"])
-        metrics.count("sim.inject.scaled_gates", counts["scaled_gates"])
-    return report
+    return estimate_error_rate_batched(
+        circuit,
+        placement,
+        edl_endpoints,
+        cycles=cycles,
+        seeds=(seed,),
+        toggle_probability=toggle_probability,
+        backend=backend,
+        max_events_per_net=max_events_per_net,
+        injection=injection,
+    )[0]

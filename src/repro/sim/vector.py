@@ -1,22 +1,22 @@
-"""Lane-vectorized Monte-Carlo simulation: seeds as an array axis.
+"""The lane engine: the ``"compiled"`` backend's cycle loop.
 
-:func:`~repro.sim.batch.estimate_error_rate_batched` removed the
-per-seed compile, but every (cycle, lane, gate) step still runs in
-pure Python — at 32 seeds the batched compiled backend is barely
-faster than running the seeds sequentially.  This module makes the
-Monte-Carlo seed axis a NumPy array dimension instead: per-lane
+The Monte-Carlo seed axis is a NumPy array dimension: per-lane
 waveforms are held as padded ``(n_lanes, n_events)`` arrays and one
 pass over a *level-batched* schedule advances every seed — and every
-gate of a topological level — simultaneously.
+gate of a topological level — simultaneously.  A single-seed call is
+one lane.
 
-The compile is reused, not duplicated: :class:`_VectorLanes` consumes
-a :class:`~repro.sim.kernel.CompiledSimulator` (slot assignment, topo
-schedule, per-pin arc delays, truth tables, latch-state keys) and only
-regroups its schedule by (topological level, fanin arity) so that all
-k-input gates of a level evaluate as one set of array ops.
+The engine consumes a :class:`~repro.sim.kernel.CompiledSimulator`
+(slot assignment, topo schedule, per-pin arc delays, truth tables,
+latch-state keys) and only regroups its schedule by (topological
+level, fanin arity) so that all k-input gates of a level evaluate as
+one set of array ops.  Each level's gates and latches run in the C
+helper (:mod:`repro.sim._native`) when it loads, else in the NumPy
+stage below; the two implement identical semantics.
 
-**Parity is the contract**, exactly as for the kernel: the vectorized
-primitives are algebraic twins of the kernel's event loops —
+**Parity with the event oracle is the contract**: the vectorized
+primitives are algebraic twins of
+:class:`~repro.sim.logicsim.TimedSimulator`'s event loops —
 
 * preemption (``while events and events[-1][0] >= out_time: pop``)
   becomes a suffix-strict-minimum survivorship: an event survives iff
@@ -32,35 +32,24 @@ primitives are algebraic twins of the kernel's event loops —
 so every float is produced by the same IEEE-754 operations on the
 same operands and the per-seed :class:`ErrorRateReport` (including
 ``final_flop_state`` / ``final_latch_state``) is comparison-identical
-to the event and compiled backends.  Event-cap overflow in any lane
-raises the same typed
-:class:`~repro.errors.SimulationError`; when several lanes overflow
-on different gates of the same cycle, the vector backend reports the
-earliest gate in schedule order (the batched backend, which finishes
-one lane before starting the next, may name a later gate of an
-earlier lane — the error type and cap accounting are identical).
+to the event backend's.  Event-cap overflow in any lane raises the
+same typed :class:`~repro.errors.SimulationError`; when several gates
+overflow in one cycle, the engine names the first one of the lowest
+level, which can differ from the gate the event oracle (one lane at a
+time, in topological order) names first.
 """
 
 from __future__ import annotations
 
 import ctypes
-import time
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.sim import _native
-
-from repro import metrics
-from repro.latches.placement import SlavePlacement
-from repro.latches.resilient import TwoPhaseCircuit
 from repro.scenarios.injectors import GlitchSpec, InjectionPlan
-from repro.sim.errorrate import (
-    ErrorRateReport,
-    _check_plan_targets,
-)
+from repro.sim.errorrate import ErrorRateReport
 from repro.sim.kernel import _EPS, CompiledSimulator
-from repro.sim.logicsim import MAX_EVENTS_PER_NET, check_event_cap
+from repro.sim.logicsim import check_event_cap
 from repro.sim.vectors import VectorSource
 
 _INF = np.inf
@@ -73,7 +62,7 @@ DEFAULT_LANE_BLOCK = 64
 
 
 # ---------------------------------------------------------------------------
-# vector primitives (algebraic twins of the kernel's event loops)
+# vector primitives (algebraic twins of the event oracle's loops)
 # ---------------------------------------------------------------------------
 
 
@@ -103,7 +92,7 @@ def _compact(
 
 
 def _preempt_keep(out_times: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """Survivors of the kernel's preemption pop-loop, in column order.
+    """Survivors of the preemption pop-loop, in column order.
 
     Appending an event pops every trailing event with time >= the new
     time, so (processing columns left to right) an event survives iff
@@ -124,7 +113,7 @@ def _prune_keep(
 ) -> np.ndarray:
     """Refine ``keep`` by value-change pruning against ``initial``.
 
-    The kernel's running prune only skips an event when its value
+    The running prune only skips an event when its value
     equals the running value, so the running value after element *i*
     always equals ``values[i]`` — pruning reduces to comparing each
     surviving element with the *previous surviving* element's value
@@ -282,12 +271,13 @@ def _glitch_lanes(
 class _VectorLanes:
     """All lanes of one seed block, advanced cycle by cycle.
 
-    Waveforms live in global padded arrays indexed by the kernel's
+    Waveforms live in global padded arrays indexed by the compile's
     slot numbers — ``times``/``values`` are ``(n_slots, L, W)`` with
     +inf time padding, plus per-slot ``counts`` and ``initial`` arrays
     of shape ``(n_slots, L)``.  Latch/source held state is one
-    ``(n_state, L)`` array addressed through the kernel's pre-rendered
-    state keys; flop capture state is ``(n_flops, L)``.
+    ``(n_state, L)`` array addressed through the compile's pre-rendered
+    state keys; flop capture state is ``(n_flops, L)``.  ``native`` is
+    the loaded C helper, or ``None`` to run the NumPy stage.
     """
 
     def __init__(
@@ -298,6 +288,7 @@ class _VectorLanes:
         toggle_probability: float,
         cycles: int,
         plan: InjectionPlan,
+        native: Optional[ctypes.CDLL],
     ) -> None:
         self.kernel = kernel
         self.plan = plan
@@ -312,10 +303,10 @@ class _VectorLanes:
         self._w_open = scheme.window_open
         self._w_close = scheme.window_close
         self._cap = kernel.max_events_per_net
-        self._native = _native.load()
+        self._native = native
         L = self.n_lanes
 
-        # -- state index (same keys as the dict the kernel maintains) --
+        # -- state index (the event backend's state-dict keys) ---------
         self._state_index: Dict[str, int] = {}
         for _, _, src_key, host_key in kernel._sources:
             self._state_index.setdefault(src_key, len(self._state_index))
@@ -328,7 +319,7 @@ class _VectorLanes:
         self._state = np.zeros((len(self._state_index), L), dtype=np.int64)
         #: SEU targets outside the maintained state (validated latch
         #: keys the compile never touches) — created on first flip,
-        #: exactly like the dict backends.
+        #: exactly like the event backend.
         self._extra_state: Dict[str, np.ndarray] = {}
 
         # -- sources ----------------------------------------------------
@@ -395,7 +386,7 @@ class _VectorLanes:
                 ]
 
         # -- level-batched schedule --------------------------------------
-        # Group the kernel's topological schedule by level: gates of
+        # Group the compile's topological schedule by level: gates of
         # one level never feed each other, so a whole level evaluates
         # as one set of array ops.  Narrower gates are padded to the
         # level's widest arity with a dummy always-empty input slot,
@@ -404,19 +395,18 @@ class _VectorLanes:
         # candidate and never causes, so the padding is parity-free
         # (the event-cap count is also unchanged: a 1-input gate's
         # normalized input times are strictly increasing, so the
-        # deduped candidate count equals the kernel's raw input
-        # count).  A latched input's level is its driver's level; the
-        # transform runs in a latch stage at the consumer's level,
-        # before that level's gates.
+        # deduped candidate count equals its raw input count).  A
+        # latched input's level is its driver's level; the transform
+        # runs in a latch stage at the consumer's level, before that
+        # level's gates.
         self._dummy_slot = kernel._n_slots
         dst_src: Dict[int, int] = {}
         slot_level: Dict[int, int] = {s: 0 for s in src_slots}
         latch_groups: Dict[int, List[Tuple[int, int, int]]] = {}
         gate_groups: Dict[int, List[tuple]] = {}
-        py_groups: Dict[int, List[tuple]] = {}
         max_level = 0
         for pos, entry in enumerate(kernel._schedule):
-            name, out_slot, in_slots, latch_ops, delays, table, _ev = entry
+            name, out_slot, in_slots, latch_ops, _delays, _table = entry
             for src_slot, dst_slot, key in latch_ops:
                 dst_src[dst_slot] = src_slot
             level = 1 + max(
@@ -431,10 +421,7 @@ class _VectorLanes:
                 latch_groups.setdefault(level, []).append(
                     (src_slot, dst_slot, self._state_index[key])
                 )
-            if table is None:
-                py_groups.setdefault(level, []).append((pos, entry))
-            else:
-                gate_groups.setdefault(level, []).append((pos, entry))
+            gate_groups.setdefault(level, []).append((pos, entry))
 
         def pack_latch(ops: List[Tuple[int, int, int]]) -> tuple:
             arr = np.asarray(ops, dtype=np.intp)
@@ -453,10 +440,10 @@ class _VectorLanes:
                 [e[1][1] for e in entries], dtype=np.int64
             )
             ins = np.full((n, kmax), self._dummy_slot, dtype=np.int64)
-            # True 1-input gates keep the kernel's fast-path
-            # semantics: the single pin always causes, without the
-            # eps-window test (the two only differ when `when - eps`
-            # rounds back to `when`).
+            # True 1-input gates skip the eps-window test: the lone
+            # pin always causes, as in the event oracle (a candidate
+            # is that pin's own transition time; the window test
+            # would miss it when `when - eps` rounds back to `when`).
             single = np.zeros(n, dtype=np.int64)
             delays = np.zeros((n, kmax, 2), dtype=np.float64)
             tables = np.empty((n, 1 << kmax), dtype=np.int64)
@@ -480,14 +467,12 @@ class _VectorLanes:
                 self._stages.append(pack_latch(latch_groups[level]))
             if level in gate_groups:
                 self._stages.append(pack_gates(gate_groups[level]))
-            if level in py_groups:
-                self._stages.append(("pygate", py_groups[level]))
             self._stages.append(("glitch", level))
 
         # Endpoint-only latch ops (a latched edge whose sink is an
         # endpoint is never consumed by a gate).
         endpoint_ops = {
-            op for _, _, op in kernel._endpoints if op is not None
+            op for _, op in kernel._endpoints if op is not None
         }
         if endpoint_ops:
             self._stages.append(
@@ -503,7 +488,7 @@ class _VectorLanes:
         ep_names = [g.name for g in netlist.endpoints()]
         self._ep_names = ep_names
         self._ep_slots = np.asarray(
-            [slot for _, slot, _ in kernel._endpoints], dtype=np.intp
+            [slot for slot, _ in kernel._endpoints], dtype=np.intp
         )
         self._edl_mask = np.asarray(
             [name in edl_endpoints for name in ep_names], dtype=bool
@@ -591,7 +576,7 @@ class _VectorLanes:
         initial: np.ndarray,
         held: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vector twin of ``CompiledSimulator._latch_transform``."""
+        """Vector twin of ``TimedSimulator._latch_transform``."""
         opening = _value_at(times, values, initial, self._t_open)
         lanes = held.shape
         lead_t = np.full(lanes + (1,), self._open_edge)
@@ -777,8 +762,7 @@ class _VectorLanes:
         w = times.shape[-1]
         L = times.shape[1]
         # Candidate set: per-lane sorted union with exact-equality
-        # dedup — the same set the kernel's 2-input merge loop and
-        # n-input sorted(set(...)) produce.
+        # dedup — the event oracle's sorted(set(...)).
         cand = np.sort(times.reshape(n, L, k * w), axis=-1)
         finite = cand < _INF
         dedup = np.ones_like(finite)
@@ -822,52 +806,11 @@ class _VectorLanes:
         delay = np.where(cause, arc, 0.0).max(axis=2)
         srows = np.nonzero(single)[0]
         if srows.size:
-            # Kernel 1-input fast path: the lone pin always causes.
+            # A true 1-input gate: the lone pin always causes.
             delay[srows] = arc[srows, :, 0, :]
         out_t = cand + delay
         t_o, v_o, c_o = _normalize(out_t, out_v, col_valid, out_init)
         self._write(out, t_o, v_o, c_o, out_init)
-
-    def _run_pygate(self, stage: tuple) -> None:
-        """Per-lane fallback for untabulated (> 10 input) gates —
-        literally the kernel's n-input loop per lane."""
-        for pos, entry in stage[1]:
-            name, out_slot, in_slots, _ops, delays, _table, evaluate = entry
-            slot_arr = np.asarray(in_slots, dtype=np.intp)
-            times, values, counts, inits = self._read(slot_arr)
-            L = times.shape[1]
-            out_rows: List[Tuple[List[float], List[int], int]] = []
-            for lane in range(L):
-                waves = [
-                    (
-                        int(inits[i, lane]),
-                        [float(t) for t in times[i, lane][: counts[i, lane]]],
-                        [int(v) for v in values[i, lane][: counts[i, lane]]],
-                    )
-                    for i in range(len(in_slots))
-                ]
-                out_rows.append(
-                    _pygate_lane(
-                        name, waves, delays, evaluate, self._cap
-                    )
-                )
-            width = max((len(r[0]) for r in out_rows), default=0)
-            t_o = np.full((L, width), _INF)
-            v_o = np.zeros((L, width), dtype=np.int64)
-            c_o = np.zeros(L, dtype=np.int64)
-            i_o = np.zeros(L, dtype=np.int64)
-            for lane, (ts, vs, init) in enumerate(out_rows):
-                c_o[lane] = len(ts)
-                t_o[lane, : len(ts)] = ts
-                v_o[lane, : len(ts)] = vs
-                i_o[lane] = init
-            self._write(
-                np.asarray([out_slot], dtype=np.intp),
-                t_o[None],
-                v_o[None],
-                c_o[None],
-                i_o[None],
-            )
 
     def _apply_glitches(
         self, specs_by_slot: Dict[int, List[GlitchSpec]]
@@ -904,8 +847,6 @@ class _VectorLanes:
                 self._run_latch(stage)
             elif kind == "gate":
                 self._run_gatek(stage)
-            elif kind == "pygate":
-                self._run_pygate(stage)
             else:  # ("glitch", level)
                 if stage[1] in glitch_levels:
                     self._apply_glitches(glitch_levels[stage[1]])
@@ -946,7 +887,6 @@ class _VectorLanes:
                 if current is None:
                     current = np.zeros(self.n_lanes, dtype=np.int64)
                 self._extra_state[target] = 1 - current
-            metrics.count("sim.inject.seu_flips", self.n_lanes)
 
     def finish(self) -> List[ErrorRateReport]:
         """Seal one comparison-identical report per lane."""
@@ -981,134 +921,43 @@ class _VectorLanes:
                         for row, name in enumerate(self._flop_names)
                     },
                     final_latch_state=final_latch,
-                    backend="vector",
                 )
             )
         return reports
 
 
-def _pygate_lane(name, waves, delays, evaluate, cap):
-    """Kernel n-input evaluation for one lane (untabulated fallback)."""
-    times_set: set = set()
-    for wave in waves:
-        times_set.update(wave[1])
-    n_events = len(times_set)
-    if n_events > cap:
-        check_event_cap(name, n_events, cap)
-    current = [wave[0] for wave in waves]
-    out_initial = evaluate(current)
-    if not n_events:
-        return ([], [], out_initial)
-    candidate_times = sorted(times_set)
-    k = len(waves)
-    times_in = [wave[1] for wave in waves]
-    values_in = [wave[2] for wave in waves]
-    lengths = [len(t) for t in times_in]
-    value_cursor = [0] * k
-    cause_cursor = [0] * k
-    events: List[Tuple[float, int]] = []
-    for when in candidate_times:
-        for i in range(k):
-            in_times = times_in[i]
-            cursor = value_cursor[i]
-            end = lengths[i]
-            if cursor < end and in_times[cursor] <= when:
-                while cursor < end and in_times[cursor] <= when:
-                    cursor += 1
-                current[i] = values_in[i][cursor - 1]
-                value_cursor[i] = cursor
-        new_value = evaluate(current)
-        delay = 0.0
-        lo_bound = when - _EPS
-        hi_bound = when + _EPS
-        for i in range(k):
-            end = lengths[i]
-            if not end:
-                continue
-            in_times = times_in[i]
-            cursor = cause_cursor[i]
-            while cursor < end and in_times[cursor] <= lo_bound:
-                cursor += 1
-            cause_cursor[i] = cursor
-            if cursor < end and in_times[cursor] < hi_bound:
-                arc_delay = delays[i][new_value]
-                if arc_delay > delay:
-                    delay = arc_delay
-        out_time = when + delay
-        while events and events[-1][0] >= out_time:
-            events.pop()
-        events.append((out_time, new_value))
-    out_times: List[float] = []
-    out_values: List[int] = []
-    value = out_initial
-    for when, new_value in events:
-        if new_value != value:
-            out_times.append(when)
-            out_values.append(new_value)
-            value = new_value
-    return (out_times, out_values, out_initial)
-
-
 # ---------------------------------------------------------------------------
-# estimator entry point
+# entry point
 # ---------------------------------------------------------------------------
 
 
-def estimate_error_rate_vector(
-    circuit: TwoPhaseCircuit,
-    placement: SlavePlacement,
+def simulate(
+    kernel: CompiledSimulator,
     edl_endpoints: Set[str],
-    cycles: int = 256,
-    seeds: Sequence[int] = (2017,),
-    toggle_probability: float = 0.5,
-    max_events_per_net: int = MAX_EVENTS_PER_NET,
-    injection: Optional[InjectionPlan] = None,
-    lane_block: int = DEFAULT_LANE_BLOCK,
+    cycles: int,
+    seeds: Sequence[int],
+    toggle_probability: float,
+    plan: InjectionPlan,
+    native: Optional[ctypes.CDLL],
 ) -> List[ErrorRateReport]:
-    """Lane-vectorized error-rate reports, one per seed.
+    """One report per seed, in ``DEFAULT_LANE_BLOCK``-lane passes.
 
-    Comparison-identical to ``estimate_error_rate(..., seed=s)`` with
-    the event or compiled backend for every seed ``s`` — the parity
-    suite in ``tests/test_sim_vector.py`` is the acceptance gate.
-    ``cycles_per_sec`` carries the aggregate lane throughput of the
-    whole batch (``None`` when the wall clock read zero).
+    Callers validate ``plan`` and build ``kernel`` with its delay
+    scaling; :func:`~repro.sim.batch.estimate_error_rate_batched` is
+    the public entry point.
     """
-    plan = injection or InjectionPlan()
-    _check_plan_targets(circuit.netlist, plan, placement)
-    kernel = CompiledSimulator(
-        circuit,
-        placement,
-        max_events_per_net=max_events_per_net,
-        delay_scale=plan.delay_scale,
-    )
     reports: List[ErrorRateReport] = []
-    started = time.perf_counter()
-    for base in range(0, len(seeds), max(1, lane_block)):
-        block = seeds[base : base + max(1, lane_block)]
+    for base in range(0, len(seeds), DEFAULT_LANE_BLOCK):
         lanes = _VectorLanes(
-            kernel, edl_endpoints, block, toggle_probability, cycles, plan
+            kernel,
+            edl_endpoints,
+            seeds[base : base + DEFAULT_LANE_BLOCK],
+            toggle_probability,
+            cycles,
+            plan,
+            native,
         )
         for cycle in range(cycles):
             lanes.run_cycle(cycle)
         reports.extend(lanes.finish())
-    wall_s = time.perf_counter() - started
-
-    total_cycles = cycles * len(reports)
-    if wall_s > 0.0:
-        throughput = total_cycles / wall_s
-        for report in reports:
-            report.cycles_per_sec = throughput
-        metrics.record_value("sim.vector.lane_cycles_per_sec", throughput)
-    metrics.count("sim.vector.runs")
-    metrics.count("sim.vector.lanes", len(reports))
-    metrics.count("sim.backend.vector")
-    metrics.count("sim.cycles", total_cycles)
-    metrics.record_value("sim.wall_s", wall_s)
-    if not plan.empty and reports:
-        counts = plan.counts()
-        metrics.count("sim.inject.runs", len(reports))
-        metrics.count("sim.inject.glitches", counts["glitches"] * len(reports))
-        metrics.count(
-            "sim.inject.scaled_gates", counts["scaled_gates"] * len(reports)
-        )
     return reports

@@ -17,8 +17,9 @@ Each test class pins one fix:
 * :class:`TestEndpointWithoutFanins` — ``run_cycle`` raised an opaque
   error for an endpoint with no fanins; both backends now raise
   :class:`NetlistError` naming the endpoint.
-* :class:`TestBackendParity` — the compiled kernel's acceptance gate:
-  bit-identical :class:`ErrorRateReport` versus the event backend.
+* :class:`TestBackendParity` — the compiled backend's acceptance
+  gate: bit-identical :class:`ErrorRateReport` versus the event
+  backend.
 * :class:`TestWaveformInvariants` — randomized invariants of the
   waveform primitives both backends rely on.
 """
@@ -131,14 +132,21 @@ class TestEventCap:
         assert _exit_code(SimulationError("boom")) == EXIT_SIM == 8
 
     def test_compiled_kernel_enforces_same_cap(self, small_prepared):
-        """The kernel honours ``max_events_per_net`` like the event
-        backend: an absurdly small cap must raise, not truncate."""
+        """The compiled backend honours ``max_events_per_net`` like the
+        event backend: an absurdly small cap must raise, not truncate."""
         _, circuit = small_prepared
         placement = SlavePlacement.initial()
-        kernel = CompiledSimulator(circuit, placement, max_events_per_net=1)
-        launch = {g.name: 1 for g in circuit.netlist.sources()}
-        with pytest.raises(SimulationError):
-            kernel.run_cycle(launch, {})
+        endpoints = {g.name for g in circuit.netlist.endpoints()}
+        errors = {}
+        for backend in ("event", "compiled"):
+            with pytest.raises(SimulationError) as excinfo:
+                estimate_error_rate(
+                    circuit, placement, endpoints, cycles=4,
+                    backend=backend, max_events_per_net=1,
+                )
+            errors[backend] = excinfo.value.payload
+        assert errors["compiled"]["max_events_per_net"] == 1
+        assert errors["compiled"] == errors["event"]
 
 
 class TestSettledCapture:
@@ -274,7 +282,7 @@ class TestEndpointWithoutFanins:
 
 
 class TestBackendParity:
-    """The compiled kernel's acceptance gate: bit-identical reports.
+    """The compiled backend's acceptance gate: bit-identical reports.
 
     ``ErrorRateReport.__eq__`` covers ``cycles``, ``error_cycles``,
     ``per_endpoint``, ``non_edl_violations`` and the final flop/latch
@@ -327,36 +335,21 @@ class TestBackendParity:
         )
 
     def test_lockstep_waveforms_and_state(self, small_prepared):
-        """Stronger than report parity: per cycle, every endpoint
-        waveform and the whole latch-state dict must match exactly."""
+        """Stronger than end-of-run parity: after every cycle, the
+        error counts and the whole flop and latch state must match."""
         _, circuit = small_prepared
-        result = base_retime(circuit, overhead=1.0)
-        placement = result.placement
-        netlist = circuit.netlist
-        simulator = TimedSimulator(circuit)
-        kernel = CompiledSimulator(circuit, placement)
-        source = VectorSource(
-            [g.name for g in netlist.inputs()], seed=23
-        )
-        endpoint_keys = [
-            f"{g.name}::d" if g.is_flop else g.name
-            for g in netlist.endpoints()
-        ]
-        flops = [g.name for g in netlist.flops()]
-        state_ev, state_co = {}, {}
-        flop_values = {name: 0 for name in flops}
-        for _ in range(12):
-            launch = dict(flop_values)
-            launch.update(source.next_vector())
-            waves_ev = simulator.run_cycle(launch, placement, state_ev)
-            waves_co = kernel.run_cycle(launch, state_co)
-            for key in endpoint_keys:
-                ev, co = waves_ev[key], waves_co[key]
-                assert co.initial == ev.initial, key
-                assert co.events == ev.events, key
-            assert state_co == state_ev
-            for name in flops:
-                flop_values[name] = waves_ev[f"{name}::d"].final
+        placement = base_retime(circuit, overhead=1.0).placement
+        edl = circuit.edl_endpoints(placement)
+        for cycles in range(1, 13):
+            event, compiled = (
+                estimate_error_rate(
+                    circuit, placement, edl, cycles=cycles, seed=23,
+                    backend=backend,
+                )
+                for backend in ("event", "compiled")
+            )
+            assert compiled == event, cycles
+            assert compiled.final_latch_state == event.final_latch_state
 
 
 # -- randomized invariants of the waveform primitives ----------------------

@@ -1,43 +1,61 @@
-"""Cross-backend parity suite for the lane-vectorized simulator.
+"""Parity suite for the compiled backend (compile + lane engine).
 
-``repro.sim.vector`` promises comparison-identical
-:class:`~repro.sim.errorrate.ErrorRateReport` objects against the
-event and compiled backends for every seed — including final
+``estimate_error_rate_batched(backend="compiled")`` promises
+comparison-identical :class:`~repro.sim.errorrate.ErrorRateReport`
+objects against the event oracle for every seed — including final
 flop/latch state, under injection plans, at any lane count, and on
 both the compiled C gate stage and its pure-NumPy fallback.  These
 tests are that promise's acceptance gate: random circuits ×
-placements × injection plans × lane counts (a single lane and a
-ragged final batch included) against the event-backend oracle.
+placements × injection plans × lane counts × lane blocks (a single
+lane and a ragged final block included) × gate stages against the
+event backend.  The rest of the file pins the estimator's dispatch,
+its counters, and how the C helper is found, built and refused.
 """
 
 import functools
+import os
+import shutil
+import stat
+import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro import metrics
 from repro.cells import default_library
 from repro.circuits.generator import CloudSpec, generate_circuit
-from repro.errors import SimulationError
+from repro.errors import NetlistError, SimulationError
 from repro.flows import prepare_circuit
 from repro.latches import SlavePlacement
+from repro.netlist import NetlistBuilder
 from repro.retime import grar_retime
 from repro.scenarios.injectors import build_injection_plan
 from repro.sim import (
     SIM_BACKENDS,
+    CompiledSimulator,
     ErrorRateReport,
     estimate_error_rate,
     estimate_error_rate_batched,
-    estimate_error_rate_vector,
 )
-from repro.sim import _native
+from repro.sim import _native, vector
 
 LIBRARY = default_library()
 CYCLES = 12
 
 SLOW = settings(
-    max_examples=6,
+    max_examples=8,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
+)
+
+#: A forced NumPy-stage load outcome.
+NUMPY_STAGE = (None, "disabled")
+
+needs_compiler = pytest.mark.skipif(
+    not hasattr(os, "getuid")
+    or not (shutil.which("cc") or shutil.which("gcc")),
+    reason="needs a POSIX host with a C compiler",
 )
 
 
@@ -80,6 +98,17 @@ def event_reports(circuit, placement, edl, seeds, injection=None):
     ]
 
 
+def compiled_reports(circuit, placement, edl, seeds, injection=None):
+    return estimate_error_rate_batched(
+        circuit,
+        placement,
+        set(edl),
+        cycles=CYCLES,
+        seeds=seeds,
+        injection=injection,
+    )
+
+
 def make_plan(circuit, scheme, placement, seed):
     return build_injection_plan(
         circuit.netlist,
@@ -93,138 +122,154 @@ def make_plan(circuit, scheme, placement, seed):
     )
 
 
+def counters_of(call):
+    collector = metrics.MetricsCollector()
+    with metrics.collect_into(collector):
+        call()
+    return collector.counters
+
+
+@pytest.fixture()
+def fresh_native(monkeypatch, tmp_path):
+    """An unloaded helper whose temp dir is ``tmp_path`` (no cached
+    object); the real helper state is restored afterwards."""
+    monkeypatch.setattr(_native, "_loaded", None)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.delenv("REPRO_VECTOR_NATIVE", raising=False)
+    return tmp_path
+
+
 class TestVectorParity:
     @given(
         st.integers(min_value=1, max_value=10**6),
         st.booleans(),
         st.sampled_from([1, 2, 5]),
         st.booleans(),
+        st.sampled_from([vector.DEFAULT_LANE_BLOCK, 2]),
+        st.booleans(),
     )
     @SLOW
-    def test_matches_event_backend(self, seed, retimed, lanes, inject):
-        """Random circuit × placement × plan × lane count == event."""
+    def test_matches_event_backend(
+        self, seed, retimed, lanes, inject, lane_block, numpy_stage
+    ):
+        """Random circuit × placement × plan × lanes × lane block ×
+        gate stage == event."""
         circuit, scheme, placement, edl = make_case(seed % 40, retimed)
         seeds = tuple(seed + 31 * k for k in range(lanes))
         plan = (
             make_plan(circuit, scheme, placement, seed) if inject else None
         )
-        vec = estimate_error_rate_vector(
-            circuit,
-            placement,
-            set(edl),
-            cycles=CYCLES,
-            seeds=seeds,
-            injection=plan,
-        )
-        assert vec == event_reports(
+        loaded = NUMPY_STAGE if numpy_stage else _native.load()
+        with mock.patch.object(
+            vector, "DEFAULT_LANE_BLOCK", lane_block
+        ), mock.patch.object(_native, "_loaded", loaded):
+            got = compiled_reports(
+                circuit, placement, edl, seeds, injection=plan
+            )
+        assert got == event_reports(
             circuit, placement, edl, seeds, injection=plan
         )
 
-    def test_ragged_final_batch(self):
-        """lane_block=4 over 6 seeds: a full block plus a ragged tail."""
+    def test_ragged_final_batch(self, monkeypatch):
+        """A 4-lane block over 6 seeds: a full block plus a ragged tail."""
+        monkeypatch.setattr(vector, "DEFAULT_LANE_BLOCK", 4)
         circuit, _, placement, edl = make_case(3)
         seeds = tuple(100 + k for k in range(6))
-        vec = estimate_error_rate_vector(
-            circuit,
-            placement,
-            set(edl),
-            cycles=CYCLES,
-            seeds=seeds,
-            lane_block=4,
-        )
-        assert len(vec) == len(seeds)
-        assert all(r.backend == "vector" for r in vec)
-        assert vec == event_reports(circuit, placement, edl, seeds)
+        got = compiled_reports(circuit, placement, edl, seeds)
+        assert len(got) == len(seeds)
+        assert all(r.backend == "compiled" for r in got)
+        assert got == event_reports(circuit, placement, edl, seeds)
 
     def test_numpy_fallback_matches_event(self, monkeypatch):
         """With the native helper disabled the pure-NumPy gate stage
         must produce the same reports (plain and injected)."""
-        monkeypatch.setattr(_native, "_lib", None)
+        monkeypatch.setattr(_native, "_loaded", NUMPY_STAGE)
         circuit, scheme, placement, edl = make_case(5, retimed=True)
         seeds = (11, 12, 13)
         plan = make_plan(circuit, scheme, placement, 5)
         for injection in (None, plan):
-            vec = estimate_error_rate_vector(
-                circuit,
-                placement,
-                set(edl),
-                cycles=CYCLES,
-                seeds=seeds,
-                injection=injection,
+            got = compiled_reports(
+                circuit, placement, edl, seeds, injection=injection
             )
-            assert vec == event_reports(
+            assert got == event_reports(
                 circuit, placement, edl, seeds, injection=injection
             )
 
-    def test_native_env_switch(self, monkeypatch):
-        """REPRO_VECTOR_NATIVE=0 forces the fallback at load time."""
-        monkeypatch.setattr(_native, "_lib", _native._UNSET)
+    def test_native_env_switch(self, fresh_native, monkeypatch):
+        """REPRO_VECTOR_NATIVE=0 forces the NumPy stage at load time,
+        and the estimator says so."""
         monkeypatch.setenv("REPRO_VECTOR_NATIVE", "0")
-        assert _native.load() is None
+        assert _native.load() == (None, "disabled")
+        circuit, _, placement, edl = make_case(5)
+        counters = counters_of(
+            lambda: compiled_reports(circuit, placement, edl, (1, 2))
+        )
+        assert counters["sim.stage.numpy"] == 1
+        assert counters["sim.stage.fallback.disabled"] == 1
+        assert "sim.stage.native" not in counters
 
     def test_event_cap_overflow_parity(self):
         """A too-small event cap raises the same typed error as the
-        compiled backend (same gate and count on a single lane)."""
+        event backend (same gate and count on a single lane)."""
         circuit, _, placement, edl = make_case(7)
-        with pytest.raises(SimulationError) as compiled_exc:
-            estimate_error_rate(
-                circuit,
-                placement,
-                set(edl),
-                cycles=CYCLES,
-                seed=42,
-                backend="compiled",
-                max_events_per_net=1,
-            )
-        with pytest.raises(SimulationError) as vector_exc:
-            estimate_error_rate_vector(
-                circuit,
-                placement,
-                set(edl),
-                cycles=CYCLES,
-                seeds=(42,),
-                max_events_per_net=1,
-            )
-        assert str(vector_exc.value) == str(compiled_exc.value)
+        errors = {}
+        for backend in SIM_BACKENDS:
+            with pytest.raises(SimulationError) as excinfo:
+                estimate_error_rate(
+                    circuit,
+                    placement,
+                    set(edl),
+                    cycles=CYCLES,
+                    seed=42,
+                    backend=backend,
+                    max_events_per_net=1,
+                )
+            errors[backend] = str(excinfo.value)
+        assert errors["compiled"] == errors["event"]
 
 
 class TestVectorDispatch:
     def test_sim_backends_contents(self):
-        assert SIM_BACKENDS == ("event", "compiled", "vector")
+        assert SIM_BACKENDS == ("event", "compiled")
 
-    def test_estimate_error_rate_vector_backend(self):
-        """Single-seed ``backend='vector'`` dispatch == compiled."""
+    def test_vector_name_rejected(self):
+        """The lane engine runs under ``compiled``; there is no
+        separate ``vector`` backend in either entry point."""
         circuit, _, placement, edl = make_case(9)
-        compiled = estimate_error_rate(
-            circuit, placement, set(edl), cycles=CYCLES, seed=77
-        )
-        vec = estimate_error_rate(
-            circuit,
-            placement,
-            set(edl),
-            cycles=CYCLES,
-            seed=77,
-            backend="vector",
-        )
-        assert vec == compiled
+        with pytest.raises(ValueError, match="backend"):
+            estimate_error_rate(
+                circuit, placement, set(edl), cycles=1, backend="vector"
+            )
+        with pytest.raises(ValueError, match="backend"):
+            estimate_error_rate_batched(
+                circuit, placement, set(edl), cycles=1, backend="vector"
+            )
 
-    def test_batched_vector_backend(self):
-        """``estimate_error_rate_batched(backend='vector')`` returns
-        the same reports as the batched compiled backend."""
+    def test_counter_contract(self):
+        """Every estimator call counts one run and cycles × lanes
+        lane-cycles, on both backends and through both entry points;
+        a compiled call also names the gate stage that ran."""
         circuit, _, placement, edl = make_case(9)
-        seeds = (5, 6, 7)
-        compiled = estimate_error_rate_batched(
-            circuit, placement, set(edl), cycles=CYCLES, seeds=seeds
-        )
-        vec = estimate_error_rate_batched(
-            circuit,
-            placement,
-            set(edl),
-            cycles=CYCLES,
-            seeds=seeds,
-            backend="vector",
-        )
-        assert vec == compiled
+        for backend in SIM_BACKENDS:
+            single = counters_of(lambda: estimate_error_rate(
+                circuit, placement, set(edl), cycles=CYCLES, seed=4,
+                backend=backend,
+            ))
+            batched = counters_of(lambda: estimate_error_rate_batched(
+                circuit, placement, set(edl), cycles=CYCLES,
+                seeds=(4, 5, 6), backend=backend,
+            ))
+            for lanes, counters in ((1, single), (3, batched)):
+                assert counters["sim.batched.runs"] == 1
+                assert counters["sim.batched.lanes"] == lanes
+                assert counters["sim.cycles"] == CYCLES * lanes
+                assert counters[f"sim.backend.{backend}"] == 1
+                stages = [
+                    counters.get(f"sim.stage.{stage}", 0)
+                    for stage in ("native", "numpy")
+                ]
+                expected = 1 if backend == "compiled" else 0
+                assert sum(stages) == expected, counters
 
     def test_cycles_per_sec_none_semantics(self):
         """``None`` means unmeasured and never affects comparison."""
@@ -241,3 +286,83 @@ class TestVectorDispatch:
         report.cycles_per_sec = None
         twin.cycles_per_sec = 123.0
         assert report == twin
+
+    def test_wide_gate_is_a_typed_compile_error(self, library):
+        """The compile tabulates gates of up to 10 inputs; a wider
+        gate is a NetlistError naming it."""
+        builder = NetlistBuilder("wide", library)
+        names = [f"i{k}" for k in range(11)]
+        for name in names:
+            builder.input(name)
+        builder.gate("g1", "AND", names[:2])
+        builder.flop("f1", "g1")
+        builder.output("y", "g1")
+        netlist = builder.build()
+        _, circuit = prepare_circuit(netlist, library)
+        object.__setattr__(circuit.netlist["g1"], "fanins", tuple(names))
+        with pytest.raises(NetlistError, match="'g1': 11 inputs"):
+            CompiledSimulator(circuit, SlavePlacement.initial())
+
+
+class TestNativeHelper:
+    def test_missing_compiler_falls_back(self, fresh_native, monkeypatch):
+        monkeypatch.setattr(shutil, "which", lambda name: None)
+        assert _native.load() == (None, "no-compiler")
+        circuit, _, placement, edl = make_case(5)
+        seeds = (1, 2)
+        reports = []
+        counters = counters_of(
+            lambda: reports.extend(
+                compiled_reports(circuit, placement, edl, seeds)
+            )
+        )
+        assert counters["sim.stage.numpy"] == 1
+        assert counters["sim.stage.fallback.no-compiler"] == 1
+        assert reports == event_reports(circuit, placement, edl, seeds)
+
+    @needs_compiler
+    def test_failed_compile_falls_back(self, fresh_native, monkeypatch):
+        monkeypatch.setattr(_native, "_SOURCE", "not C at all")
+        assert _native.load() == (None, "compile-failed")
+
+    @needs_compiler
+    def test_builds_into_private_cache(self, fresh_native):
+        lib, fallback = _native.load()
+        assert lib is not None and fallback is None
+        cache = fresh_native / f"repro-{os.getuid()}"
+        assert stat.S_IMODE(os.lstat(cache).st_mode) == 0o700
+        assert [p.suffix for p in cache.iterdir()] == [".so"]
+        circuit, _, placement, edl = make_case(5)
+        counters = counters_of(
+            lambda: compiled_reports(circuit, placement, edl, (1,))
+        )
+        assert counters["sim.stage.native"] == 1
+        assert "sim.stage.numpy" not in counters
+
+    @needs_compiler
+    @pytest.mark.parametrize("unsafe", ["symlink", "writable", "foreign"])
+    def test_refuses_unsafe_cache_dir(self, fresh_native, monkeypatch,
+                                      unsafe):
+        """A planted cache directory is never used: the helper builds
+        in a fresh private directory instead, and still loads."""
+        elsewhere = fresh_native / "elsewhere"
+        elsewhere.mkdir()
+        cache = fresh_native / f"repro-{os.getuid()}"
+        if unsafe == "symlink":
+            cache.symlink_to(elsewhere, target_is_directory=True)
+        elif unsafe == "writable":
+            cache.mkdir()
+            cache.chmod(0o777)
+        else:
+            # Another user's directory: the process claims a uid that
+            # does not own the (existing) cache directory.
+            cache = fresh_native / "repro-4242"
+            cache.mkdir(mode=0o700)
+            monkeypatch.setattr(os, "getuid", lambda: 4242)
+        assert _native._private_dir(str(cache)) is None
+        lib, fallback = _native.load()
+        assert lib is not None and fallback is None
+        planted = elsewhere if unsafe == "symlink" else cache
+        assert list(planted.iterdir()) == []
+        # The one-off build directory is gone once the object loaded.
+        assert not list(fresh_native.glob("repro-veval-*"))

@@ -33,13 +33,22 @@ checks survive ``python -O``.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Union
 
 from repro import metrics
+
+#: Every loaded :class:`ReproError` class by name — the lookup table of
+#: :meth:`ReproError.from_dict` (subclasses register on definition, so
+#: ones declared outside this module resolve too).
+_TYPES: Dict[str, type] = {}
 
 
 class ReproError(Exception):
     """Base class: a diagnosable failure anywhere in the pipeline."""
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        _TYPES[cls.__name__] = cls
 
     def __init__(
         self,
@@ -75,12 +84,34 @@ class ReproError(Exception):
             "payload": _jsonable(self.payload),
         }
 
+    @staticmethod
+    def from_dict(data: Mapping[str, Any]) -> "ReproError":
+        """Inverse of :meth:`to_dict`: the typed error, e.g. one a
+        worker process reported.  A ``type`` naming no loaded
+        :class:`ReproError` class (an untyped exception that crossed a
+        process boundary) rebuilds as :class:`FlowStageError`."""
+        cls = _TYPES.get(str(data.get("type")), FlowStageError)
+        payload = dict(data.get("payload") or {})
+        message = str(data.get("message", ""))
+        if issubclass(cls, NetlistError):
+            # Its constructor takes the problem list the message joins.
+            message = payload.get("problems") or message
+        return cls(
+            message,
+            stage=data.get("stage"),
+            circuit=data.get("circuit"),
+            payload=payload,
+        )
+
     def __str__(self) -> str:
         prefix = ""
         if self.stage or self.circuit:
             where = "/".join(p for p in (self.circuit, self.stage) if p)
             prefix = f"[{where}] "
         return f"{prefix}{self.message}"
+
+
+_TYPES["ReproError"] = ReproError
 
 
 class NetlistError(ReproError, ValueError):

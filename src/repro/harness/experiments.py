@@ -7,9 +7,6 @@ runs), and renders each table in the paper's layout.
 
 from __future__ import annotations
 
-import json
-import os
-import time
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -27,8 +24,7 @@ from repro.netlist.netlist import Netlist
 from repro.sim import estimate_error_rate_batched
 from repro.store import (
     ArtifactStore,
-    atomic_write_text,
-    config_fingerprint,
+    SweepMemo,
     decode_memo_cell_key,
     library_fingerprint,
     memo_cell_key,
@@ -156,7 +152,6 @@ class ExperimentSuite:
         memo_path: Optional[str] = None,
         solver_policy=None,
         checkpoint_every: int = 1,
-        checkpoint_interval_s: float = 0.0,
         retime_cache: bool = True,
         store: Union[ArtifactStore, str, None] = None,
     ) -> None:
@@ -177,16 +172,14 @@ class ExperimentSuite:
         self.sta_engine = sta_engine
         self.guard = guard
         self.isolate = isolate
-        self.memo_path = memo_path
         self.solver_policy = solver_policy
         #: reuse compiled retiming problems + simplex warm starts when
         #: sweeping overheads; ``False`` is the bit-parity oracle.
         self.retime_cache = retime_cache
         #: batched checkpointing: rewrite the memo only every N dirty
-        #: cells (or after ``checkpoint_interval_s`` seconds), instead
-        #: of a full JSON rewrite per cell.  1 = write every time.
+        #: cells, instead of a full JSON rewrite per cell.  1 = write
+        #: every time.
         self.checkpoint_every = max(1, int(checkpoint_every))
-        self.checkpoint_interval_s = float(checkpoint_interval_s)
         #: artifact store the flows run against (compiled problems and
         #: arenas); a *persistent* store additionally carries the memo
         #: as a ``"suite-memo"`` artifact, so suites sharing the store
@@ -198,15 +191,16 @@ class ExperimentSuite:
         self._outcomes: Dict[Tuple[str, str, float], AnyOutcome] = {}
         self._error_rates: Dict[Tuple[str, str, float], float] = {}
         self._dirty_cells = 0
-        self._last_checkpoint = time.monotonic()
-        if self._store_memo_enabled():
-            payload = self.store.get("suite-memo", self._store_memo_key())
-            if isinstance(payload, dict):
-                self._ingest_memo(payload)
-        if memo_path:
-            # The legacy file memo loads second: an explicit path is
-            # the closer authority when both carry the same cell.
-            self._load_memo(memo_path)
+        self._memo = SweepMemo(
+            "suite-memo", self._memo_config, memo_path, self.store
+        )
+        for memo_key, entry in self._memo.load().items():
+            name, method, overhead = decode_memo_cell_key(memo_key)
+            key = (str(name), str(method), float(overhead))
+            if "run" in entry:
+                self._outcomes[key] = FlowRecord(**entry["run"])
+            if "error_rate" in entry:
+                self._error_rates[key] = entry["error_rate"]
 
     # -- shared state ------------------------------------------------------
 
@@ -434,80 +428,49 @@ class ExperimentSuite:
             ],
         }
 
-    @staticmethod
-    def _memo_key(key: Tuple[str, str, float]) -> str:
-        """Injective memo key via :func:`repro.store.memo_cell_key`: a
-        JSON array, immune to ``|`` in names, round-tripping the float
-        overhead exactly (``repr`` semantics)."""
-        return memo_cell_key(key)
+    @property
+    def memo_path(self) -> Optional[str]:
+        """The explicit JSON memo file (``None``: store memo only)."""
+        return self._memo.path
 
-    @staticmethod
-    def _decode_memo_key(memo_key: str) -> Tuple[str, str, float]:
-        """Decode a memo key, accepting the legacy ``|`` format.
+    @memo_path.setter
+    def memo_path(self, path: Optional[str]) -> None:
+        self._memo.path = path
 
-        Legacy memos are migrated transparently: they decode here and
-        the next :meth:`checkpoint` rewrites them JSON-encoded.
+    def _memo_config(self) -> Dict[str, object]:
+        """What the memoized values depend on: library content,
+        simulated cycles and seeds, and the solver policy.
+
+        Bit-identical-by-contract switches (simulation backend, STA
+        mode/engine, retime cache, jobs) stay out, so one memo serves
+        any of their combinations.
         """
-        name, method, overhead = decode_memo_cell_key(memo_key)
-        return (str(name), str(method), float(overhead))
-
-    def _store_memo_enabled(self) -> bool:
-        """Whether the memo also lives in the artifact store.
-
-        Only a *persistent* store carries the ``"suite-memo"``
-        namespace: in a memory-only store the artifact would just
-        alias this process's ``_outcomes`` (and leak runs between
-        unrelated in-process suites).
-        """
-        return self.store is not None and self.store.persistent
-
-    def _store_memo_key(self) -> str:
-        """The suite's memo artifact key: a config fingerprint.
-
-        Covers exactly the knobs that change memoized *values* —
-        library content, simulated cycles, seed, and the solver
-        policy.  Bit-identical-by-contract switches (simulation
-        backend, STA mode/engine, retime cache, jobs) stay out, so a
-        warm store serves any of their combinations.
-        """
-        config = {
+        return {
             "library": library_fingerprint(self.library),
-            "error_rate_cycles": self.error_rate_cycles,
-            "sim_seed": self.sim_seed,
+            "cycles": self.error_rate_cycles,
+            "seeds": list(self.sim_seeds),
             "solver_policy": repr(self.solver_policy),
         }
-        # Multi-seed sweeps change memoized values, so they key the
-        # memo; the single-seed layout keeps the legacy fingerprint
-        # (warm stores stay valid).
-        if len(self.sim_seeds) > 1:
-            config["sim_seeds"] = list(self.sim_seeds)
-        return config_fingerprint("suite-memo", config)
 
     def checkpoint(self, force: bool = True) -> bool:
         """Persist completed runs so a crashed suite can resume.
 
         ``force=False`` marks one cell dirty and only rewrites the
-        memo once ``checkpoint_every`` cells accumulated (or
-        ``checkpoint_interval_s`` elapsed) — the batching that keeps a
-        parallel suite from serializing on full-JSON rewrites.  The
-        payload goes to ``memo_path`` (when set) and to a persistent
-        artifact store's ``"suite-memo"`` namespace (when attached).
-        Returns True when the memo was written.
+        memo once ``checkpoint_every`` cells accumulated — the
+        batching that keeps a parallel suite from serializing on
+        full-JSON rewrites.  The memo goes to ``memo_path`` and to a
+        persistent store's ``"suite-memo"`` namespace
+        (:class:`~repro.store.SweepMemo`); failed cells and NaN rates
+        are left out, so a resumed suite re-runs them.  Returns True
+        when the memo was written.
         """
-        to_store = self._store_memo_enabled()
-        if not self.memo_path and not to_store:
+        if not self._memo.enabled:
             return False
         if not force:
             self._dirty_cells += 1
-            due = self._dirty_cells >= self.checkpoint_every
-            if not due and self.checkpoint_interval_s > 0:
-                due = (
-                    time.monotonic() - self._last_checkpoint
-                    >= self.checkpoint_interval_s
-                )
-            if not due:
+            if self._dirty_cells < self.checkpoint_every:
                 return False
-        runs = {}
+        entries: Dict[str, Dict[str, object]] = {}
         for key, out in self._outcomes.items():
             if isinstance(out, FailedOutcome):
                 continue
@@ -516,42 +479,14 @@ class ExperimentSuite:
                 if isinstance(out, FlowRecord)
                 else FlowRecord.from_outcome(out)
             )
-            runs[self._memo_key(key)] = record.__dict__
-        payload = {
-            "runs": runs,
-            "error_rates": {
-                self._memo_key(k): v
-                for k, v in self._error_rates.items()
-                if v == v
-            },
-            "failures": self.failure_report()["failures"],
-        }
-        if self.memo_path:
-            # Unique-tmp atomic write: two suites sharing a memo path
-            # used to race on one fixed ``{path}.tmp`` name.
-            atomic_write_text(
-                self.memo_path, json.dumps(payload, indent=1)
-            )
-        if to_store:
-            self.store.put("suite-memo", self._store_memo_key(), payload)
+            entries[memo_cell_key(key)] = {"run": record.__dict__}
+        for key, rate in self._error_rates.items():
+            if rate == rate:  # not NaN
+                entry = entries.setdefault(memo_cell_key(key), {})
+                entry["error_rate"] = rate
+        self._memo.save(entries)
         self._dirty_cells = 0
-        self._last_checkpoint = time.monotonic()
         return True
-
-    def _ingest_memo(self, payload: Dict[str, object]) -> None:
-        """Merge one memo payload (file or store artifact) into state."""
-        for memo_key, fields_ in payload.get("runs", {}).items():
-            key = self._decode_memo_key(memo_key)
-            self._outcomes[key] = FlowRecord(**fields_)
-        for memo_key, rate in payload.get("error_rates", {}).items():
-            self._error_rates[self._decode_memo_key(memo_key)] = rate
-
-    def _load_memo(self, path: str) -> None:
-        if not os.path.exists(path):
-            return
-        with open(path, encoding="utf-8") as stream:
-            payload = json.load(stream)
-        self._ingest_memo(payload)
 
     # -- parallel-engine merge hooks ---------------------------------------
 

@@ -5,10 +5,10 @@ The paper's table sweep is embarrassingly parallel — every
 :class:`~repro.harness.experiments.ExperimentSuite` computes cells
 lazily, one at a time, as the tables pull on them.  This module adds
 the production-scale path: :func:`run_suite_parallel` plans the cells
-a table selection needs, fans the *canonical* ones out over a
-:class:`concurrent.futures.ProcessPoolExecutor`, and merges the
-results back into the suite's memo so the tables render from warm
-cache.
+a table selection needs, fans the *canonical* ones out over
+:func:`run_tasks_with_deadline` — the one process runner, which the
+scenario matrix uses too — and settles each result into the suite's
+memo as it lands, so the tables render from warm cache.
 
 Design points:
 
@@ -26,13 +26,15 @@ Design points:
   methods carry the simulation along, so a resumed
   :class:`~repro.harness.experiments.FlowRecord` never forces a
   sequential re-run.
-* **batched checkpoints** — merging bumps the suite's memo through
-  :meth:`ExperimentSuite.record_outcome` (throttled writes) and
-  flushes once at the end, instead of a full JSON rewrite per cell.
-* **metrics ride along** — every worker collects per-stage wall-clock
-  / peak-RSS counters (:mod:`repro.metrics`) and the parent merges
-  them into the ambient collector, so ``--bench-out`` sees the whole
-  fleet.
+* **batched checkpoints** — each settled cell bumps the suite's memo
+  through :meth:`ExperimentSuite.record_outcome` (a write every
+  ``checkpoint_every`` cells) and the sweep flushes once more when it
+  ends or is interrupted, so a killed sweep resumes from its last
+  checkpoint.
+* **metrics ride along** — the runner runs every worker under a fresh
+  :mod:`repro.metrics` collector and merges it into the caller's
+  ambient collector as each result arrives, so ``--bench-out`` sees
+  the whole fleet.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from __future__ import annotations
 import multiprocessing
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as connection_wait
 from typing import (
@@ -55,11 +56,15 @@ from typing import (
     Union,
 )
 
-from repro import errors as errors_mod
 from repro import metrics
 from repro.cells.library import Library
 from repro.clocks import ClockScheme
-from repro.errors import DeadlineError, ReproError, stage_scope
+from repro.errors import (
+    DeadlineError,
+    FlowStageError,
+    ReproError,
+    stage_scope,
+)
 from repro.flows import run_flow
 from repro.harness.experiments import (
     ExperimentSuite,
@@ -178,11 +183,10 @@ class CellResult:
     method: str
     overhead: float
     record: Optional[Dict[str, Any]] = None
+    #: the failure in :meth:`ReproError.to_dict` form.
     error: Optional[Dict[str, Any]] = None
-    error_type: Optional[str] = None
     error_rate: Optional[float] = None
     wall_s: float = 0.0
-    metrics: Optional[Dict[str, Any]] = None
     #: which simulation backend produced the error rate (when one ran).
     sim_backend: Optional[str] = None
     #: simulation throughput of this cell's Table VIII run (``None``
@@ -332,7 +336,7 @@ def run_cell(task: CellTask) -> List[CellResult]:
 
 
 def _run_point(task: CellTask, overhead: float) -> CellResult:
-    """One (circuit, method, overhead) cell of a task (also inline).
+    """One (circuit, method, overhead) cell of a task.
 
     Mirrors ``ExperimentSuite._run`` plus the Table VIII simulation:
     failures come back as structured :class:`ReproError` dictionaries
@@ -343,73 +347,55 @@ def _run_point(task: CellTask, overhead: float) -> CellResult:
         need_rate = overhead in task.rate_overheads
     else:
         need_rate = task.error_rate
-    collector = metrics.MetricsCollector()
     started = time.perf_counter()
     result = CellResult(
         circuit=task.circuit, method=task.method, overhead=overhead
     )
-    with metrics.collect_into(collector):
-        try:
-            outcome = run_flow(
-                task.method,
-                task.netlist,
-                task.library,
-                overhead,
-                scheme=task.scheme,
-                guard=task.guard,
-                solver_policy=task.solver_policy,
-                sta_mode=task.sta_mode,
-                sta_engine=task.sta_engine,
-                retime_cache=task.retime_cache,
-            )
-        except ReproError as exc:
-            exc.annotate(circuit=task.circuit)
-            result.error = exc.to_dict()
-            result.error_type = type(exc).__name__
-        else:
-            result.record = dict(FlowRecord.from_outcome(outcome).__dict__)
-            if need_rate:
-                try:
-                    with stage_scope("simulate", circuit=task.circuit):
-                        # One compile serves the whole seed sweep;
-                        # single-seed reports are byte-identical to
-                        # the sequential per-seed call.
-                        reports = estimate_error_rate_batched(
-                            outcome.circuit,
-                            outcome.retiming.placement,
-                            outcome.edl_endpoints,
-                            cycles=task.cycles,
-                            seeds=task.seeds or (task.seed,),
-                            backend=task.sim_backend,
-                        )
-                except ReproError as exc:
-                    exc.annotate(circuit=task.circuit)
-                    result.error = exc.to_dict()
-                    result.error_type = type(exc).__name__
-                    result.error_rate = float("nan")
-                    result.sim_backend = task.sim_backend
-                else:
-                    result.error_rate = sum(
-                        r.error_rate for r in reports
-                    ) / len(reports)
-                    result.sim_backend = reports[0].backend
-                    result.sim_cycles_per_sec = reports[0].cycles_per_sec
+    try:
+        outcome = run_flow(
+            task.method,
+            task.netlist,
+            task.library,
+            overhead,
+            scheme=task.scheme,
+            guard=task.guard,
+            solver_policy=task.solver_policy,
+            sta_mode=task.sta_mode,
+            sta_engine=task.sta_engine,
+            retime_cache=task.retime_cache,
+        )
+    except ReproError as exc:
+        exc.annotate(circuit=task.circuit)
+        result.error = exc.to_dict()
+    else:
+        result.record = dict(FlowRecord.from_outcome(outcome).__dict__)
+        if need_rate:
+            try:
+                with stage_scope("simulate", circuit=task.circuit):
+                    # One compile serves the whole seed sweep;
+                    # single-seed reports are byte-identical to the
+                    # sequential per-seed call.
+                    reports = estimate_error_rate_batched(
+                        outcome.circuit,
+                        outcome.retiming.placement,
+                        outcome.edl_endpoints,
+                        cycles=task.cycles,
+                        seeds=task.seeds or (task.seed,),
+                        backend=task.sim_backend,
+                    )
+            except ReproError as exc:
+                exc.annotate(circuit=task.circuit)
+                result.error = exc.to_dict()
+                result.error_rate = float("nan")
+                result.sim_backend = task.sim_backend
+            else:
+                result.error_rate = sum(
+                    r.error_rate for r in reports
+                ) / len(reports)
+                result.sim_backend = reports[0].backend
+                result.sim_cycles_per_sec = reports[0].cycles_per_sec
     result.wall_s = time.perf_counter() - started
-    result.metrics = collector.to_dict()
     return result
-
-
-def _rebuild_error(result: CellResult) -> ReproError:
-    """Reconstruct the worker's typed error on the parent side."""
-    payload = result.error or {}
-    cls = getattr(errors_mod, result.error_type or "", None)
-    if not (isinstance(cls, type) and issubclass(cls, ReproError)):
-        cls = errors_mod.FlowStageError
-    exc = cls(str(payload.get("message", "parallel worker failure")))
-    exc.stage = payload.get("stage")
-    exc.circuit = payload.get("circuit") or result.circuit
-    exc.payload = dict(payload.get("payload") or {})
-    return exc
 
 
 def _merge_result(suite: ExperimentSuite, result: CellResult) -> None:
@@ -468,56 +454,64 @@ class TaskFailure:
     error_type: Optional[str] = None
     payload: Dict[str, Any] = field(default_factory=dict)
 
+    def error_dict(self) -> Dict[str, Any]:
+        """The failure in :meth:`ReproError.to_dict` form: the worker's
+        own error (when it reported one) plus the failure kind and the
+        attempt count; a deadline miss is a :class:`DeadlineError`."""
+        error = dict(self.error or {})
+        error.setdefault("message", self.message)
+        error["stage"] = error.get("stage") or "parallel"
+        if self.kind == "deadline":
+            error["type"] = DeadlineError.__name__
+        else:
+            error.setdefault(
+                "type", self.error_type or FlowStageError.__name__
+            )
+        payload = dict(error.get("payload") or {})
+        payload.update(self.payload)
+        payload["failure_kind"] = self.kind
+        payload["attempts"] = self.attempts
+        error["payload"] = payload
+        return error
+
     def to_error(self) -> ReproError:
         """The failure as a raisable typed error."""
-        cls = DeadlineError if self.kind == "deadline" else (
-            getattr(errors_mod, self.error_type or "", None)
-            or errors_mod.FlowStageError
-        )
-        if not (isinstance(cls, type) and issubclass(cls, ReproError)):
-            cls = errors_mod.FlowStageError
-        exc = cls(self.message)
-        exc.stage = (self.error or {}).get("stage") or "parallel"
-        exc.circuit = (self.error or {}).get("circuit")
-        exc.payload = dict((self.error or {}).get("payload") or {})
-        exc.payload.update(self.payload)
-        exc.payload["failure_kind"] = self.kind
-        exc.payload["attempts"] = self.attempts
-        return exc
+        return ReproError.from_dict(self.error_dict())
 
 
 def _deadline_entry(conn, worker, task) -> None:
-    """Child-process entry: run the task, report over the pipe."""
-    try:
-        result = worker(task)
-    except (KeyboardInterrupt, SystemExit):
-        raise
-    except ReproError as exc:
-        conn.send(
-            (
+    """Child-process entry: run the task under a fresh metrics
+    collector, then report the outcome and the collector over the
+    pipe."""
+    collector = metrics.MetricsCollector()
+    with conn:
+        try:
+            with metrics.collect_into(collector):
+                report = ("ok", worker(task))
+        except (KeyboardInterrupt, SystemExit):
+            raise
+        except BaseException as exc:  # noqa: BLE001 - crosses a process
+            typed = isinstance(exc, ReproError)
+            report = (
                 "crash",
                 {
-                    "message": str(exc),
-                    "error": exc.to_dict(),
+                    "message": str(exc) if typed else (
+                        f"{type(exc).__name__}: {exc}"
+                    ),
+                    "error": exc.to_dict() if typed else None,
                     "type": type(exc).__name__,
                 },
             )
-        )
-    except BaseException as exc:  # noqa: BLE001 - crosses a process
-        conn.send(
-            (
-                "crash",
-                {
-                    "message": f"{type(exc).__name__}: {exc}",
-                    "error": None,
-                    "type": type(exc).__name__,
-                },
-            )
-        )
-    else:
-        conn.send(("ok", result))
-    finally:
-        conn.close()
+        conn.send(report + (collector.to_dict(),))
+
+
+def _stop(process) -> None:
+    """Terminate a worker process (escalating to a kill)."""
+    process.terminate()
+    process.join(5.0)
+    if process.is_alive():  # pragma: no cover - stuck kill
+        process.kill()
+        process.join()
 
 
 def run_tasks_with_deadline(
@@ -532,18 +526,23 @@ def run_tasks_with_deadline(
 ) -> List[Union[Any, TaskFailure]]:
     """Run ``worker(task)`` per task in killable worker processes.
 
-    The executor-based path cannot enforce per-task deadlines — a
-    :class:`~concurrent.futures.ProcessPoolExecutor` has no way to
-    kill one hung worker without tearing down the pool — so this
-    runner owns its processes: one :class:`multiprocessing.Process`
-    plus pipe per attempt, at most ``jobs`` live at a time.  A task
-    that exceeds ``deadline_s`` is terminated and recorded as
-    ``TaskFailure(kind="deadline")``; a worker that dies without
-    reporting (OOM kill, segfault) as ``kind="worker-death"``.  Kinds
-    in ``retry_kinds`` are retried after a ``backoff_s`` pause (scaled
-    by the attempt number) up to ``max_attempts`` total attempts;
-    reported exceptions (``kind="crash"``) are deterministic and fail
-    immediately.
+    The one process runner of both sweeps (the table suite and the
+    scenario matrix).  It owns its processes — one
+    :class:`multiprocessing.Process` plus pipe per attempt, at most
+    ``jobs`` live at a time, even at ``jobs=1`` — because only a
+    separate process can be killed: a task that exceeds ``deadline_s``
+    is terminated and recorded as ``TaskFailure(kind="deadline")``; a
+    worker that dies without reporting (OOM kill, segfault) as
+    ``kind="worker-death"``.  Kinds in ``retry_kinds`` are retried
+    after a ``backoff_s`` pause (scaled by the attempt number) up to
+    ``max_attempts`` total attempts; reported exceptions
+    (``kind="crash"``) are deterministic and fail immediately.
+
+    Each worker runs under a fresh :mod:`repro.metrics` collector,
+    merged into the caller's ambient collector whenever a worker
+    reports (ok or crash) — a killed or dead worker's counters are
+    lost with it.  If the runner itself is interrupted, it stops every
+    live worker before the exception propagates.
 
     Returns one entry per task, in task order: the worker's return
     value or a :class:`TaskFailure`.  The caller decides whether a
@@ -558,6 +557,7 @@ def run_tasks_with_deadline(
     if deadline_s is not None and deadline_s <= 0:
         raise ValueError("deadline_s must be positive")
     jobs = max(1, int(jobs))
+    ambient = metrics.current()
     results: List[Union[Any, TaskFailure]] = [None] * len(tasks)
     queue = deque((index, 1) for index in range(len(tasks)))
     #: retries waiting out their backoff: (not_before, index, attempt).
@@ -565,67 +565,71 @@ def run_tasks_with_deadline(
     #: conn -> (task index, attempt, process, start time).
     live: Dict[Any, Tuple[int, int, Any, float]] = {}
 
-    def settle(index: int, attempt: int, failure: TaskFailure) -> None:
-        if failure.kind in retry_kinds and attempt < max_attempts:
+    def settle(index: int, attempt: int, outcome: Any) -> None:
+        if (
+            isinstance(outcome, TaskFailure)
+            and outcome.kind in retry_kinds
+            and attempt < max_attempts
+        ):
             metrics.count("parallel.deadline.retries")
             delayed.append(
                 (time.monotonic() + backoff_s * attempt, index, attempt + 1)
             )
         else:
-            results[index] = failure
+            results[index] = outcome
             if on_result is not None:
-                on_result(index, failure)
+                on_result(index, outcome)
 
-    while queue or delayed or live:
-        now = time.monotonic()
-        still_delayed: List[Tuple[float, int, int]] = []
-        for not_before, index, attempt in delayed:
-            if now >= not_before:
-                queue.append((index, attempt))
-            else:
-                still_delayed.append((not_before, index, attempt))
-        delayed = still_delayed
+    try:
+        while queue or delayed or live:
+            now = time.monotonic()
+            still_delayed: List[Tuple[float, int, int]] = []
+            for not_before, index, attempt in delayed:
+                if now >= not_before:
+                    queue.append((index, attempt))
+                else:
+                    still_delayed.append((not_before, index, attempt))
+            delayed = still_delayed
 
-        while queue and len(live) < jobs:
-            index, attempt = queue.popleft()
-            parent_conn, child_conn = multiprocessing.Pipe(duplex=False)
-            process = multiprocessing.Process(
-                target=_deadline_entry,
-                args=(child_conn, worker, tasks[index]),
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
-            live[parent_conn] = (index, attempt, process, time.monotonic())
+            while queue and len(live) < jobs:
+                index, attempt = queue.popleft()
+                parent_conn, child_conn = multiprocessing.Pipe(duplex=False)
+                process = multiprocessing.Process(
+                    target=_deadline_entry,
+                    args=(child_conn, worker, tasks[index]),
+                    daemon=True,
+                )
+                process.start()
+                child_conn.close()
+                live[parent_conn] = (
+                    index, attempt, process, time.monotonic()
+                )
 
-        if not live:
-            if delayed:
-                pause = min(nb for nb, _, _ in delayed) - time.monotonic()
-                if pause > 0:
-                    time.sleep(pause)
-            continue
+            if not live:
+                if delayed:
+                    pause = min(nb for nb, _, _ in delayed) - time.monotonic()
+                    if pause > 0:
+                        time.sleep(pause)
+                continue
 
-        now = time.monotonic()
-        bounds: List[float] = [nb - now for nb, _, _ in delayed]
-        if deadline_s is not None:
-            bounds.extend(
-                started + deadline_s - now
-                for (_, _, _, started) in live.values()
-            )
-        timeout = max(0.0, min(bounds)) if bounds else None
-        ready = connection_wait(list(live), timeout=timeout)
+            now = time.monotonic()
+            bounds: List[float] = [nb - now for nb, _, _ in delayed]
+            if deadline_s is not None:
+                bounds.extend(
+                    started + deadline_s - now
+                    for (_, _, _, started) in live.values()
+                )
+            timeout = max(0.0, min(bounds)) if bounds else None
+            ready = connection_wait(list(live), timeout=timeout)
 
-        for conn in ready:
-            index, attempt, process, started = live.pop(conn)
-            wall_s = time.monotonic() - started
-            try:
-                tag, body = conn.recv()
-            except EOFError:
-                process.join()
-                settle(
-                    index,
-                    attempt,
-                    TaskFailure(
+            for conn in ready:
+                index, attempt, process, started = live.pop(conn)
+                wall_s = time.monotonic() - started
+                try:
+                    tag, body, worker_metrics = conn.recv()
+                except EOFError:
+                    process.join()
+                    outcome = TaskFailure(
                         kind="worker-death",
                         message=(
                             f"worker died without reporting a result "
@@ -634,60 +638,53 @@ def run_tasks_with_deadline(
                         attempts=attempt,
                         wall_s=wall_s,
                         payload={"exitcode": process.exitcode},
-                    ),
-                )
-            else:
-                process.join()
-                if tag == "ok":
-                    results[index] = body
-                    if on_result is not None:
-                        on_result(index, body)
+                    )
                 else:
+                    process.join()
+                    if ambient is not None:
+                        ambient.merge_dict(worker_metrics)
+                    outcome = body if tag == "ok" else TaskFailure(
+                        kind="crash",
+                        message=body["message"],
+                        attempts=attempt,
+                        wall_s=wall_s,
+                        error=body.get("error"),
+                        error_type=body.get("type"),
+                    )
+                finally:
+                    conn.close()
+                settle(index, attempt, outcome)
+
+            if deadline_s is not None:
+                now = time.monotonic()
+                for conn in [
+                    c
+                    for c, (_, _, _, started) in live.items()
+                    if now - started > deadline_s
+                ]:
+                    index, attempt, process, started = live.pop(conn)
+                    _stop(process)
+                    conn.close()
+                    metrics.count("parallel.deadline.kills")
                     settle(
                         index,
                         attempt,
                         TaskFailure(
-                            kind="crash",
-                            message=body["message"],
+                            kind="deadline",
+                            message=(
+                                f"task exceeded its {deadline_s:g}s "
+                                f"deadline and was killed "
+                                f"(attempt {attempt})"
+                            ),
                             attempts=attempt,
-                            wall_s=wall_s,
-                            error=body.get("error"),
-                            error_type=body.get("type"),
+                            wall_s=time.monotonic() - started,
+                            payload={"deadline_s": deadline_s},
                         ),
                     )
-            finally:
-                conn.close()
-
-        if deadline_s is not None:
-            ready_set = set(ready)
-            now = time.monotonic()
-            for conn in [
-                c
-                for c, (_, _, _, started) in live.items()
-                if c not in ready_set and now - started > deadline_s
-            ]:
-                index, attempt, process, started = live.pop(conn)
-                process.terminate()
-                process.join(5.0)
-                if process.is_alive():  # pragma: no cover - stuck kill
-                    process.kill()
-                    process.join()
-                conn.close()
-                metrics.count("parallel.deadline.kills")
-                settle(
-                    index,
-                    attempt,
-                    TaskFailure(
-                        kind="deadline",
-                        message=(
-                            f"task exceeded its {deadline_s:g}s deadline "
-                            f"and was killed (attempt {attempt})"
-                        ),
-                        attempts=attempt,
-                        wall_s=time.monotonic() - started,
-                        payload={"deadline_s": deadline_s},
-                    ),
-                )
+    finally:
+        for conn, (_, _, process, _) in live.items():
+            _stop(process)
+            conn.close()
     return results
 
 
@@ -695,26 +692,14 @@ def _failure_results(
     task: CellTask, failure: TaskFailure
 ) -> List[CellResult]:
     """One FAILED :class:`CellResult` per sweep point of a dead task."""
-    error = dict(failure.error or {})
-    error.setdefault("message", failure.message)
-    error.setdefault("stage", "parallel")
-    payload = dict(error.get("payload") or {})
-    payload.update(failure.payload)
-    payload["failure_kind"] = failure.kind
-    payload["attempts"] = failure.attempts
-    error["payload"] = payload
-    if failure.kind == "deadline":
-        error_type = "DeadlineError"
-    else:
-        error_type = failure.error_type or "FlowStageError"
-    error.setdefault("type", error_type)
+    error = failure.error_dict()
+    error["circuit"] = error.get("circuit") or task.circuit
     return [
         CellResult(
             circuit=task.circuit,
             method=task.method,
             overhead=overhead,
             error=error,
-            error_type=error_type,
             wall_s=failure.wall_s if position == 0 else 0.0,
         )
         for position, overhead in enumerate(task.sweep)
@@ -731,21 +716,26 @@ def run_suite_parallel(
 ) -> Dict[str, Any]:
     """Prewarm the suite's memo with ``jobs`` worker processes.
 
-    Returns a bench summary (cells, wall clock, per-cell timings,
-    merged worker metrics); the suite afterwards renders every table
-    from the warm memo.  With ``jobs <= 1`` the cells run inline
-    through the same code path, which is what the parity test
-    exploits.
+    Every planned task runs through :func:`run_tasks_with_deadline`
+    (at ``jobs=1`` too, in one worker process) and settles into the
+    suite — and its memo checkpoints — the moment it lands, so an
+    interrupted sweep keeps every cell up to its last checkpoint and
+    flushes the memo once more on the way out.  Returns a bench
+    summary (cells, wall clock, per-cell timings); the suite
+    afterwards renders every table from the warm memo.  Nothing the
+    sweep leaves behind depends on the order tasks complete in: the
+    memo's keys are sorted and the new failures are reported in
+    (circuit, method, c) order.
 
-    ``deadline_s`` enforces a per-task wall-clock deadline through
-    :func:`run_tasks_with_deadline` (even at ``jobs=1``, since only a
-    separate process can be killed): a hung cell is terminated,
-    retried once, and on the second miss recorded as a
-    ``FailedOutcome`` whose error is a :class:`DeadlineError` dict.
+    ``deadline_s`` enforces a per-task wall-clock deadline: a hung
+    cell is terminated, retried once, and on the second miss recorded
+    as a ``FailedOutcome`` whose error is a :class:`DeadlineError`
+    dict.
 
     Failures honour ``suite.isolate``: isolated suites record
-    ``FailedOutcome`` cells, strict suites re-raise the first worker
-    error as its original :class:`ReproError` type.
+    ``FailedOutcome`` cells, strict suites finish the sweep and then
+    re-raise the lowest (circuit, method, c) worker error as its
+    original :class:`ReproError` type.
     """
     if checkpoint_every is None:
         checkpoint_every = max(suite.checkpoint_every, 8)
@@ -757,43 +747,36 @@ def run_suite_parallel(
     )
     started = time.perf_counter()
     results: List[CellResult] = []
-    if deadline_s is not None:
-        raw = run_tasks_with_deadline(
-            run_cell, tasks, jobs=jobs, deadline_s=deadline_s
-        )
-        for task, item in zip(tasks, raw):
-            if isinstance(item, TaskFailure):
-                results.extend(_failure_results(task, item))
-            else:
-                results.extend(item)
-    elif jobs <= 1 or len(tasks) <= 1:
-        for task in tasks:
-            results.extend(run_cell(task))
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            pending = {pool.submit(run_cell, task) for task in tasks}
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    results.extend(future.result())
-    # Merge in a deterministic order so memo files and failure lists
-    # do not depend on completion timing.
-    results.sort(key=lambda r: (r.circuit, r.method, r.overhead))
-    first_failure: Optional[CellResult] = None
-    ambient = metrics.current()
-    for result in results:
-        if result.metrics and ambient is not None:
-            ambient.merge_dict(result.metrics)
-        if result.failed and not suite.isolate:
-            if first_failure is None:
-                first_failure = result
-            continue
-        _merge_result(suite, result)
-    suite.checkpoint(force=True)
-    wall_s = time.perf_counter() - started
-    if first_failure is not None:
-        raise _rebuild_error(first_failure)
+    strict_failures: List[CellResult] = []
+    known_failures = len(suite.failures)
 
+    def settle(index: int, outcome: Any) -> None:
+        if isinstance(outcome, TaskFailure):
+            outcome = _failure_results(tasks[index], outcome)
+        for result in outcome:
+            results.append(result)
+            if result.failed and not suite.isolate:
+                strict_failures.append(result)
+            else:
+                _merge_result(suite, result)
+
+    try:
+        run_tasks_with_deadline(
+            run_cell, tasks, jobs=jobs, deadline_s=deadline_s,
+            on_result=settle,
+        )
+    finally:
+        suite.failures[known_failures:] = sorted(
+            suite.failures[known_failures:],
+            key=lambda f: (f.circuit_name, f.method, f.overhead),
+        )
+        suite.checkpoint(force=True)
+    wall_s = time.perf_counter() - started
+    if strict_failures:
+        first = min(strict_failures, key=lambda r: r.key)
+        raise ReproError.from_dict(first.error)
+
+    results.sort(key=lambda r: r.key)
     busy_s = sum(r.wall_s for r in results)
     # None = unmeasured (no simulation, or a wall clock too coarse to
     # resolve the run) — only measured cells enter the average.

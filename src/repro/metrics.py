@@ -2,11 +2,11 @@
 
 Every perf claim in this repo is grounded in a ``BENCH_*.json``
 artifact, and this module is the substrate that produces them.  It
-deliberately has **zero** dependencies on the rest of ``repro`` (the
-error taxonomy and the flow pipeline both import it) and near-zero
-cost when disabled: the ambient collector lives in a
-:class:`contextvars.ContextVar`, and every instrumentation hook is a
-no-op while no collector is installed.
+depends on nothing in ``repro`` but the :mod:`repro.atomic_io` leaf
+(the error taxonomy, the store and the flow pipeline all import it)
+and costs next to nothing when disabled: the ambient collector lives
+in a :class:`contextvars.ContextVar`, and every instrumentation hook
+is a no-op while no collector is installed.
 
 Three layers:
 
@@ -30,12 +30,13 @@ everything else still works.
 from __future__ import annotations
 
 import json
-import os
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, Mapping, Optional
+
+from repro.atomic_io import atomic_write_text
 
 try:  # pragma: no cover - resource is POSIX-only
     import resource as _resource
@@ -289,8 +290,4 @@ def bench_report(
 
 def write_bench(path: str, payload: Mapping[str, Any]) -> None:
     """Atomically write a bench artifact as indented JSON."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as stream:
-        json.dump(payload, stream, indent=1, sort_keys=False)
-        stream.write("\n")
-    os.replace(tmp, path)
+    atomic_write_text(path, json.dumps(payload, indent=1) + "\n")

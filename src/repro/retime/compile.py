@@ -18,7 +18,7 @@ circuit and re-costs it per sweep point:
   the ambient :class:`~repro.store.ArtifactStore` (namespace
   ``"compiled-grar"``); emits ``retime.compile.{hits,misses}``.  With
   a persistent store, compiled problems land on disk and successive
-  CLI invocations (and ProcessPool workers sharing the directory)
+  CLI invocations (and parallel workers sharing the directory)
   hit across process boundaries.
 * :class:`CompiledRetiming` — regions + cut sets + graph skeleton,
   plus the previous sweep point's optimal simplex basis

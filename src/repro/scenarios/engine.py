@@ -48,17 +48,15 @@ from repro.scenarios.injectors import build_injection_plan
 from repro.sim import SIM_BACKENDS, estimate_error_rate_batched
 from repro.store import (
     ArtifactStore,
-    atomic_write_text,
-    config_fingerprint,
+    SweepMemo,
     content_digest,
     library_fingerprint,
     memo_cell_key,
     open_store,
 )
 
-#: Scenario report / memo schema versions.
+#: Scenario report schema version.
 REPORT_SCHEMA = "repro-scenarios/1"
-MEMO_SCHEMA = "repro-scenarios-memo/1"
 
 
 @dataclass(frozen=True)
@@ -170,12 +168,6 @@ class ScenarioTask:
     @property
     def key(self) -> Tuple[str, str, str, str]:
         return (self.circuit, self.corner.name, self.upset.name, self.policy)
-
-
-def memo_key(key: Tuple[str, str, str, str]) -> str:
-    """The JSON-array memo key of a scenario (the canonical
-    :func:`repro.store.memo_cell_key` recipe)."""
-    return memo_cell_key(key)
 
 
 def run_scenario(task: ScenarioTask) -> Dict[str, Any]:
@@ -337,96 +329,6 @@ class ScenarioReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def _memo_config(
-    seed: int,
-    overhead: float,
-    cycles: int,
-    sim_backend: str,
-    harden_fraction: float,
-    n_seeds: int = 1,
-) -> Dict[str, Any]:
-    config = {
-        "seed": seed,
-        "overhead": overhead,
-        "cycles": cycles,
-        "sim_backend": sim_backend,
-        "harden_fraction": harden_fraction,
-    }
-    # Only multi-seed sweeps stamp the key: single-seed runs keep
-    # their pre-existing memo fingerprints (and resumable memos).
-    if n_seeds > 1:
-        config["n_seeds"] = n_seeds
-    return config
-
-
-def _load_memo(
-    path: Path, config: Dict[str, Any]
-) -> Dict[str, Dict[str, Any]]:
-    """Entries of a resumable memo, or empty on absence/mismatch."""
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return {}
-    if (
-        data.get("schema") != MEMO_SCHEMA
-        or data.get("config") != config
-    ):
-        return {}
-    entries = data.get("entries")
-    return dict(entries) if isinstance(entries, dict) else {}
-
-
-def _memo_payload(
-    config: Dict[str, Any], entries: Mapping[str, Dict[str, Any]]
-) -> Dict[str, Any]:
-    return {
-        "schema": MEMO_SCHEMA,
-        "config": config,
-        "entries": dict(sorted(entries.items())),
-    }
-
-
-def _write_memo(
-    path: Path,
-    config: Dict[str, Any],
-    entries: Mapping[str, Dict[str, Any]],
-) -> None:
-    """Atomic memo write (unique tmp + replace: a killed sweep never
-    leaves a torn file behind, and two sweeps sharing the memo path
-    never clobber each other's in-flight tmp)."""
-    payload = _memo_payload(config, entries)
-    atomic_write_text(
-        path, json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
-
-
-def _store_memo_key(config: Dict[str, Any], library: Library) -> str:
-    """The ``"scenario-memo"`` artifact key: run config + library."""
-    return config_fingerprint(
-        "scenario-memo",
-        {**config, "library": library_fingerprint(library)},
-    )
-
-
-def _load_store_memo(
-    store: Optional[ArtifactStore],
-    key: str,
-    config: Dict[str, Any],
-) -> Dict[str, Dict[str, Any]]:
-    """Settled entries from a persistent store's memo artifact."""
-    if store is None or not store.persistent:
-        return {}
-    payload = store.get("scenario-memo", key)
-    if (
-        not isinstance(payload, dict)
-        or payload.get("schema") != MEMO_SCHEMA
-        or payload.get("config") != config
-    ):
-        return {}
-    entries = payload.get("entries")
-    return dict(entries) if isinstance(entries, dict) else {}
-
-
 def run_scenarios(
     circuits: Union[Mapping[str, Netlist], Sequence[Tuple[str, Netlist]]],
     library: Library,
@@ -457,9 +359,9 @@ def run_scenarios(
     and skipped on re-runs (``retry_failed`` re-attempts FAILED ones).
 
     ``n_seeds`` widens each scenario into a Monte-Carlo sweep over
-    derived seeds sharing one simulator compile (lane 0 is the legacy
-    per-scenario seed, so single-seed memos stay valid); entries then
-    carry the mean ``error_rate`` plus per-seed rates.
+    derived seeds sharing one simulator compile (lane 0 is the
+    single-seed scenario's seed); entries then carry the mean
+    ``error_rate`` plus per-seed rates.
 
     ``store`` attaches an artifact store: workers run their flows
     under it (compiled problems and arenas shared across the matrix
@@ -467,7 +369,10 @@ def run_scenarios(
     carries the memo as a ``"scenario-memo"`` artifact keyed by the
     run config — a warm rerun resumes from the store with no
     ``memo_path`` at all.  Reports are byte-identical with or without
-    a store.
+    a store.  Either memo (:class:`~repro.store.SweepMemo`) resumes
+    only a run of the same library, cycles, seeds, overhead and
+    harden fraction; the simulation backend is bit-identical by
+    contract and stays out of that config.
     """
     if sim_backend not in SIM_BACKENDS:
         raise ValueError(
@@ -497,24 +402,26 @@ def run_scenarios(
     else:
         pairs = list(circuits)
 
-    config = _memo_config(
-        seed, overhead, cycles, sim_backend, harden_fraction, n_seeds
-    )
     store_obj = open_store(store)
     store_dir = (
         str(store_obj.root)
         if store_obj is not None and store_obj.persistent
         else None
     )
-    store_key = _store_memo_key(config, library)
-    memo = Path(memo_path) if memo_path is not None else None
-    # Store memo first, file memo second: an explicit path is the
-    # closer authority when both carry the same scenario.
-    entries: Dict[str, Dict[str, Any]] = _load_store_memo(
-        store_obj, store_key, config
+    memo = SweepMemo(
+        "scenario-memo",
+        lambda: {
+            "library": library_fingerprint(library),
+            "cycles": cycles,
+            "seed": seed,
+            "n_seeds": n_seeds,
+            "overhead": overhead,
+            "harden_fraction": harden_fraction,
+        },
+        memo_path,
+        store_obj,
     )
-    if memo is not None:
-        entries.update(_load_memo(memo, config))
+    entries: Dict[str, Dict[str, Any]] = memo.load()
 
     started = time.perf_counter()
     all_keys: List[Tuple[str, str, str, str]] = []
@@ -530,7 +437,7 @@ def run_scenarios(
                     for policy in policies:
                         key = (circuit_name, corner_name, upset_name, policy)
                         all_keys.append(key)
-                        entries[memo_key(key)] = _failed_entry(
+                        entries[memo_cell_key(key)] = _failed_entry(
                             key,
                             kind="crash",
                             message=str(exc),
@@ -547,7 +454,7 @@ def run_scenarios(
                 for policy in policies:
                     key = (circuit_name, corner_name, upset_name, policy)
                     all_keys.append(key)
-                    existing = entries.get(memo_key(key))
+                    existing = entries.get(memo_cell_key(key))
                     if existing is not None and (
                         existing.get("status") == "ok" or not retry_failed
                     ):
@@ -595,13 +502,8 @@ def run_scenarios(
                 error=outcome.error,
             )
             metrics.count(f"scenarios.failed.{outcome.kind}")
-        entries[memo_key(task.key)] = entry
-        if memo is not None:
-            _write_memo(memo, config, entries)
-        if store_dir is not None:
-            store_obj.put(
-                "scenario-memo", store_key, _memo_payload(config, entries)
-            )
+        entries[memo_cell_key(task.key)] = entry
+        memo.save(entries)
 
     if tasks:
         # Import here: parallel imports experiments imports flows —
@@ -622,7 +524,7 @@ def run_scenarios(
         cycles=cycles,
         sim_backend=sim_backend,
         harden_fraction=harden_fraction,
-        entries=[entries[memo_key(key)] for key in sorted(set(all_keys))],
+        entries=[entries[memo_cell_key(key)] for key in sorted(set(all_keys))],
         wall_s=time.perf_counter() - started,
     )
     metrics.count("scenarios.runs")

@@ -1,12 +1,18 @@
 """``repro.store``: canonical fingerprints + the two-tier artifact store.
 
 The persistent half of the ROADMAP's retiming-as-a-service arc: one
-sha256 recipe for every cache key (:mod:`repro.store.fingerprint`) and
+sha256 recipe for every cache key (:mod:`repro.store.fingerprint`),
 one content-addressed store behind every result cache
-(:mod:`repro.store.store`).  See DESIGN.md §15 for the architecture
-and the namespace map.
+(:mod:`repro.store.store`), and one resumable-memo recipe for both
+sweeps (:mod:`repro.store.memo`).  See DESIGN.md §15 for the
+architecture and the namespace map.
 """
 
+from repro.atomic_io import (
+    atomic_write_bytes,
+    atomic_write_text,
+    unique_tmp_name,
+)
 from repro.store.fingerprint import (
     ENGINE_VERSION,
     Fingerprint,
@@ -19,17 +25,15 @@ from repro.store.fingerprint import (
     memo_cell_key,
     netlist_fingerprint,
 )
+from repro.store.memo import MEMO_SCHEMA, SweepMemo
 from repro.store.store import (
     DEFAULT_CAPACITY,
     STORE_SCHEMA,
     ArtifactStore,
     StoreError,
-    atomic_write_bytes,
-    atomic_write_text,
     get_store,
     open_store,
     set_default_store,
-    unique_tmp_name,
     use_store,
 )
 
@@ -38,8 +42,10 @@ __all__ = [
     "DEFAULT_CAPACITY",
     "ENGINE_VERSION",
     "Fingerprint",
+    "MEMO_SCHEMA",
     "STORE_SCHEMA",
     "StoreError",
+    "SweepMemo",
     "arena_fingerprint",
     "atomic_write_bytes",
     "atomic_write_text",

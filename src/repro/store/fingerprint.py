@@ -211,17 +211,5 @@ def memo_cell_key(parts: Sequence[Any]) -> str:
 
 
 def decode_memo_cell_key(memo_key: str) -> Tuple[Any, ...]:
-    """Decode a memo cell key, accepting the legacy ``|`` format.
-
-    Legacy suite memos joined ``(circuit, method, overhead)`` with
-    ``|``; they decode here and the next checkpoint rewrites them
-    JSON-encoded.
-    """
-    if memo_key.startswith("["):
-        try:
-            parts = json.loads(memo_key)
-        except ValueError:
-            parts = None
-        if isinstance(parts, list):
-            return tuple(parts)
-    return tuple(memo_key.rsplit("|", 2))
+    """Inverse of :func:`memo_cell_key`."""
+    return tuple(json.loads(memo_key))

@@ -75,18 +75,16 @@ from typing import (
 )
 
 from repro import metrics
+from repro.atomic_io import atomic_write_bytes, atomic_write_text
 
 __all__ = [
     "ArtifactStore",
     "DEFAULT_CAPACITY",
     "STORE_SCHEMA",
     "StoreError",
-    "atomic_write_bytes",
-    "atomic_write_text",
     "get_store",
     "open_store",
     "set_default_store",
-    "unique_tmp_name",
     "use_store",
 ]
 
@@ -107,37 +105,6 @@ _MISS = object()
 
 class StoreError(ValueError):
     """An artifact store directory that cannot be used as one."""
-
-
-def unique_tmp_name(path: Union[str, Path]) -> str:
-    """A collision-free sibling tmp name for an atomic replace.
-
-    Unique per (pid, call): two suites checkpointing the same memo
-    path — or two store writers landing the same artifact — never
-    write through the same tmp file, so neither can observe (or
-    ``os.replace``) the other's half-written bytes.
-    """
-    return f"{path}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
-
-
-def atomic_write_bytes(path: Union[str, Path], data: bytes) -> None:
-    """Write ``data`` to ``path`` atomically (unique tmp + replace)."""
-    tmp = unique_tmp_name(path)
-    try:
-        with open(tmp, "wb") as stream:
-            stream.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def atomic_write_text(path: Union[str, Path], text: str) -> None:
-    """Text form of :func:`atomic_write_bytes` (UTF-8)."""
-    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 class ArtifactStore:

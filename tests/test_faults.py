@@ -264,6 +264,52 @@ class TestSuiteIsolation:
         assert isinstance(record, FlowRecord)
 
 
+def _concrete_error_classes():
+    """Every ReproError class, including ones declared outside
+    :mod:`repro.errors` (their modules are imported first)."""
+    import repro.netlist.bench  # noqa: F401 - BenchParseError
+    import repro.netlist.verilog  # noqa: F401 - VerilogError
+    import repro.retime.regions  # noqa: F401 - InfeasibleRetimingError
+
+    seen, todo = [], [ReproError]
+    while todo:
+        cls = todo.pop()
+        seen.append(cls)
+        todo.extend(cls.__subclasses__())
+    return sorted(seen, key=lambda c: c.__name__)
+
+
+class TestTypedErrorRoundTrip:
+    """``ReproError.from_dict`` inverts ``to_dict`` — how a worker's
+    typed error is rebuilt on the parent side of a process boundary."""
+
+    @pytest.mark.parametrize(
+        "cls", _concrete_error_classes(), ids=lambda c: c.__name__
+    )
+    def test_every_class_round_trips(self, cls):
+        context = dict(stage="retime", circuit="s1488", payload={"n": 3})
+        if issubclass(cls, NetlistError):
+            exc = cls(["no driver for g1", "dangling g2"], **context)
+        else:
+            exc = cls("solver gave up", **context)
+        data = exc.to_dict()
+        rebuilt = ReproError.from_dict(json.loads(json.dumps(data)))
+        assert type(rebuilt) is cls
+        assert rebuilt.to_dict() == data
+        assert str(rebuilt) == str(exc)
+        if issubclass(cls, NetlistError):
+            assert rebuilt.problems == exc.problems
+
+    def test_unknown_type_rebuilds_as_flow_stage_error(self):
+        from repro.errors import FlowStageError
+
+        rebuilt = ReproError.from_dict(
+            {"type": "RuntimeError", "message": "boom", "stage": "x"}
+        )
+        assert type(rebuilt) is FlowStageError
+        assert rebuilt.stage == "x" and rebuilt.message == "boom"
+
+
 class TestSimulationLevelFaults:
     """The scenario-engine injectors, exposed as fault kinds: each
     builder yields a deterministic plan both sim backends honour."""

@@ -132,6 +132,26 @@ class TestBenchArtifacts:
         assert loaded["counters"]["flow.runs"] == 2
         assert not path.with_suffix(".json.tmp").exists()
 
+    def test_write_bench_uses_unique_tmp_names(self, tmp_path, monkeypatch):
+        """Two processes writing one artifact used to race on the
+        fixed ``{path}.tmp`` name; unique names embed the pid."""
+        import os
+
+        sources = []
+        real_replace = os.replace
+
+        def spy(src, dst):
+            sources.append(str(src))
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", spy)
+        path = tmp_path / "BENCH_suite.json"
+        metrics.write_bench(str(path), {"schema": metrics.BENCH_SCHEMA})
+        (src,) = sources
+        assert src != f"{path}.tmp"
+        assert src.startswith(str(path)) and str(os.getpid()) in src
+        assert json.loads(path.read_text())["schema"] == metrics.BENCH_SCHEMA
+
     def test_flow_run_emits_stage_and_flow_counters(self, library):
         from repro.circuits import build_benchmark
         from repro.flows import prepare_circuit, run_flow

@@ -1,10 +1,10 @@
 """Parallel experiment engine, memo-key, and checkpoint regressions.
 
-Covers the PR's tentpole (sequential-vs-parallel parity, canonical-cell
-planning, batched checkpoints) and the memo-key bugfix: the legacy
-``|``-joined key was not injective (a ``|`` in the method segment made
-``rsplit("|", 2)`` mis-split), so two distinct cells could collide in a
-resumed memo.
+Covers sequential-vs-parallel parity, canonical-cell planning, batched
+checkpoints that settle as tasks land, the config-stamped memo, and
+the memo-key bugfix: the old ``|``-joined key was not injective (a
+``|`` in the method segment made ``rsplit("|", 2)`` mis-split), so two
+distinct cells could collide in a resumed memo.
 """
 
 import json
@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from repro import metrics
 from repro.circuits.generator import CloudSpec, generate_circuit
 from repro.errors import ReproError
 from repro.faults import corrupt_net
@@ -21,16 +22,18 @@ from repro.flows import FlowOutcome
 from repro.harness import ExperimentSuite, plan_cells, run_suite_parallel
 from repro.harness.experiments import LEVELS, FailedOutcome, FlowRecord
 from repro.harness.parallel import methods_for_tables
+from repro.store import MEMO_SCHEMA, decode_memo_cell_key, memo_cell_key
 
 
-def _tiny_suite(library, memo_path=None, isolate=False, circuits=2):
+def _tiny_suite(library, memo_path=None, isolate=False, circuits=2, **kw):
     names = ["alpha", "bravo", "charlie"][:circuits]
+    kw.setdefault("error_rate_cycles", 16)
     suite = ExperimentSuite(
         circuits=names,
         library=library,
-        error_rate_cycles=16,
         isolate=isolate,
         memo_path=memo_path,
+        **kw,
     )
     for index, name in enumerate(names):
         spec = CloudSpec(
@@ -60,22 +63,17 @@ class TestMemoKeyEncoding:
 
     @pytest.mark.parametrize("key", ADVERSARIAL)
     def test_round_trip(self, key):
-        encoded = ExperimentSuite._memo_key(key)
-        assert ExperimentSuite._decode_memo_key(encoded) == key
+        encoded = memo_cell_key(key)
+        assert decode_memo_cell_key(encoded) == key
 
     def test_encoding_is_injective_over_adversarial_keys(self):
-        encoded = {ExperimentSuite._memo_key(k) for k in self.ADVERSARIAL}
+        encoded = {memo_cell_key(k) for k in self.ADVERSARIAL}
         assert len(encoded) == len(self.ADVERSARIAL)
 
     def test_new_keys_are_json_arrays(self):
-        encoded = ExperimentSuite._memo_key(("s1488", "base", 1.0))
+        encoded = memo_cell_key(("s1488", "base", 1.0))
         assert encoded.startswith("[")
         assert json.loads(encoded) == ["s1488", "base", 1.0]
-
-    def test_legacy_pipe_format_still_decodes(self):
-        assert ExperimentSuite._decode_memo_key("s1488|base|1.0") == (
-            "s1488", "base", 1.0
-        )
 
     def test_adversarial_cell_survives_checkpoint_resume(
         self, library, tmp_path
@@ -96,31 +94,35 @@ class TestMemoKeyEncoding:
         assert key in resumed._outcomes
         assert ("a|rvl", "x", 1.0) not in resumed._outcomes
 
-    def test_legacy_memo_file_migrates(self, library, tmp_path):
+    def test_unstamped_memo_file_is_ignored(self, library, tmp_path):
+        """A memo with no schema/config stamp (the pre-stamp suite
+        format) cannot be checked against the run: its cells re-run
+        and the next checkpoint rewrites the file stamped."""
         memo = str(tmp_path / "memo.json")
         record = FlowRecord(
-            method="grar", circuit_name="alpha", overhead=1.0,
+            method="base", circuit_name="alpha", overhead=1.0,
             n_slaves=5, n_masters=3, n_edl=2, latch_area=1.5,
             comb_area=40.0, runtime_s=0.1, solver_backend="simplex",
         )
+        key = memo_cell_key(("alpha", "base", 1.0))
         with open(memo, "w", encoding="utf-8") as stream:
             json.dump(
                 {
-                    "runs": {"alpha|grar|1.0": record.__dict__},
-                    "error_rates": {"alpha|grar|1.0": 12.5},
+                    "runs": {key: record.__dict__},
+                    "error_rates": {key: 12.5},
                 },
                 stream,
             )
         suite = _tiny_suite(library, memo_path=memo)
-        resumed = suite._outcomes[("alpha", "grar", 1.0)]
-        assert isinstance(resumed, FlowRecord)
-        assert resumed.total_area == pytest.approx(record.total_area)
-        assert suite._error_rates[("alpha", "grar", 1.0)] == 12.5
-        # The next checkpoint rewrites the memo in the new encoding.
+        assert ("alpha", "base", 1.0) not in suite._outcomes
+        assert ("alpha", "base", 1.0) not in suite._error_rates
+        out = suite.outcome("alpha", "base", 1.0)
+        assert isinstance(out, FlowOutcome)
         assert suite.checkpoint(force=True)
         rewritten = json.loads(open(memo, encoding="utf-8").read())
-        assert all(k.startswith("[") for k in rewritten["runs"])
-        assert all(k.startswith("[") for k in rewritten["error_rates"])
+        assert rewritten["schema"] == MEMO_SCHEMA
+        assert rewritten["config"]["cycles"] == 16
+        assert key in rewritten["entries"]
 
 
 class TestCheckpointBatching:
@@ -143,16 +145,6 @@ class TestCheckpointBatching:
         assert suite.checkpoint(force=True)
         assert os.path.exists(memo)
 
-    def test_interval_flushes_a_stale_batch(self, library, tmp_path):
-        memo = str(tmp_path / "memo.json")
-        suite = _tiny_suite(library)
-        suite.memo_path = memo
-        suite.checkpoint_every = 100
-        suite.checkpoint_interval_s = 0.05
-        assert not suite.checkpoint(force=False)
-        suite._last_checkpoint -= 1.0
-        assert suite.checkpoint(force=False)
-
     def test_no_memo_path_is_a_noop(self, library):
         suite = _tiny_suite(library)
         assert not suite.checkpoint(force=True)
@@ -173,15 +165,16 @@ class TestMemoResume:
         first.checkpoint(force=True)
 
         payload = json.loads(open(memo, encoding="utf-8").read())
-        keys = {
-            tuple(json.loads(k)[:2]) + (json.loads(k)[2],)
-            for k in payload["runs"]
+        assert payload["schema"] == MEMO_SCHEMA
+        entries = {
+            decode_memo_cell_key(k): v for k, v in payload["entries"].items()
         }
         # The re-costed C_INDEPENDENT cell persists under its own key...
-        assert ("alpha", "base", 2.0) in keys
+        assert entries[("alpha", "base", 2.0)]["run"]["overhead"] == 2.0
+        assert entries[("alpha", "base", 1.0)]["error_rate"] == rate
         # ...and the failed cell is NOT resumable as a success.
-        assert ("bravo", "grar", 1.0) not in keys
-        assert payload["failures"]
+        assert ("bravo", "grar", 1.0) not in entries
+        assert first.failures
 
         resumed = _tiny_suite(library, memo_path=memo, isolate=True)
         record = resumed.outcome("alpha", "base", 2.0)
@@ -195,6 +188,26 @@ class TestMemoResume:
         # is healthy, so the re-run comes back as a live outcome.
         again = resumed.outcome("bravo", "grar", 1.0)
         assert isinstance(again, FlowOutcome)
+
+    def test_resume_under_other_cycles_and_seed_resimulates(
+        self, library, tmp_path
+    ):
+        """A memo written at one (cycles, seed) must not answer a run
+        at another: the stale rate used to come back with zero
+        simulations."""
+        memo = str(tmp_path / "memo.json")
+        first = _tiny_suite(library, memo_path=memo, circuits=1, sim_seed=1)
+        first.error_rate("alpha", "base", 1.0)
+        first.checkpoint(force=True)
+
+        changed = dict(circuits=1, error_rate_cycles=64, sim_seed=7)
+        resumed = _tiny_suite(library, memo_path=memo, **changed)
+        collector = metrics.MetricsCollector()
+        with metrics.collect_into(collector):
+            rate = resumed.error_rate("alpha", "base", 1.0)
+        assert collector.counters.get("sim.batched.runs") == 1
+        fresh = _tiny_suite(library, **changed)
+        assert rate == fresh.error_rate("alpha", "base", 1.0)
 
 
 class TestPlanCells:
@@ -287,15 +300,16 @@ class TestParallelParity:
         assert summary["n_failed"] == 0
         assert self._render_tables(parallel) == expected
 
-    def test_inline_path_matches_too(self, library):
+    def test_single_worker_matches_too(self, library):
+        """``jobs=1`` goes through the same runner, in one worker."""
         sequential = _tiny_suite(library, circuits=1)
         expected = sequential.table5().render()
-        inline = _tiny_suite(library, circuits=1)
+        single = _tiny_suite(library, circuits=1)
         run_suite_parallel(
-            inline, jobs=1, methods=("base", "rvl", "grar"),
+            single, jobs=1, methods=("base", "rvl", "grar"),
             error_rates=False,
         )
-        assert inline.table5().render() == expected
+        assert single.table5().render() == expected
 
     def test_summary_shape(self, library):
         suite = _tiny_suite(library, circuits=1)
@@ -387,6 +401,17 @@ def _dl_untyped(task):
     raise RuntimeError("not a ReproError")
 
 
+def _dl_counting(task):
+    from repro import metrics as _metrics
+    from repro.errors import FlowStageError
+
+    _metrics.count("drill.tasks")
+    _metrics.count("drill.units", task)
+    if task == 3:
+        raise FlowStageError("counted, then crashed", stage="drill")
+    return task
+
+
 class TestDeadlineRunner:
     def test_plain_results_in_order(self):
         from repro.harness.parallel import run_tasks_with_deadline
@@ -461,6 +486,23 @@ class TestDeadlineRunner:
         assert seen[0] == "a"
         assert seen[2] == "b"
 
+    def test_worker_counters_reach_the_caller(self):
+        from repro.harness.parallel import (
+            TaskFailure,
+            run_tasks_with_deadline,
+        )
+
+        collector = metrics.MetricsCollector()
+        with metrics.collect_into(collector):
+            results = run_tasks_with_deadline(
+                _dl_counting, [1, 2, 3], jobs=2
+            )
+        assert results[:2] == [1, 2]
+        assert isinstance(results[2], TaskFailure)
+        # Ok and crashed workers alike report their counters.
+        assert collector.counters["drill.tasks"] == 3
+        assert collector.counters["drill.units"] == 6
+
     def test_deadline_validation(self):
         from repro.harness.parallel import run_tasks_with_deadline
 
@@ -502,3 +544,41 @@ class TestSuiteDeadline:
         # The healthy circuit still produced its row.
         table = suite.table5()
         assert "FAILED" in table.render()
+
+
+class TestInterruptedSweep:
+    def test_settled_cells_survive_an_interrupt(
+        self, library, tmp_path, monkeypatch
+    ):
+        """Ctrl-C while the second task runs: the first task's cells
+        are already in the memo, and a rerun resumes them."""
+        import signal
+        import time as _time
+
+        import repro.harness.parallel as par
+
+        memo = str(tmp_path / "memo.json")
+        suite = _tiny_suite(library, memo_path=memo)
+        original = par.run_cell
+        parent = os.getpid()
+
+        def interrupt_on_bravo(task):
+            if task.circuit == "bravo":
+                os.kill(parent, signal.SIGINT)
+                _time.sleep(30.0)
+            return original(task)
+
+        monkeypatch.setattr(par, "run_cell", interrupt_on_bravo)
+        with pytest.raises(KeyboardInterrupt):
+            par.run_suite_parallel(
+                suite, jobs=1, methods=("base",), error_rates=False,
+                checkpoint_every=1,
+            )
+        monkeypatch.undo()
+        payload = json.loads(open(memo, encoding="utf-8").read())
+        assert [decode_memo_cell_key(k) for k in payload["entries"]] == [
+            ("alpha", "base", 1.0)
+        ]
+        resumed = _tiny_suite(library, memo_path=memo)
+        tasks = plan_cells(resumed, methods=("base",), error_rates=False)
+        assert [t.key for t in tasks] == [("bravo", "base", 1.0)]

@@ -522,6 +522,23 @@ class TestScenarioEngine:
             14, "fig4", "nominal", "seu", "grar"
         )
 
+    def test_worker_counters_reach_the_caller(self):
+        """The workers' flow and simulation counters used to die with
+        the worker processes; the runner now carries them back."""
+        from repro import metrics
+
+        collector = metrics.MetricsCollector()
+        with metrics.collect_into(collector):
+            report = _run_matrix(
+                corners=("nominal", "chaos-crash"),
+                upsets=("none", "seu"),
+                jobs=2,
+            )
+        counters = collector.counters
+        assert len(report.ok_entries) == 2
+        assert counters["sim.batched.runs"] == len(report.ok_entries)
+        assert counters["flow.runs"] >= 1
+
     def test_unpreparable_circuit_degrades_whole_submatrix(self):
         from repro.faults import corrupt_net
 

@@ -138,11 +138,6 @@ class TestFingerprint:
         key = ("a|b", "m", 1.0)
         assert decode_memo_cell_key(memo_cell_key(key)) == key
 
-    def test_legacy_pipe_keys_still_decode(self):
-        assert decode_memo_cell_key("s1196|grar|0.5") == (
-            "s1196", "grar", "0.5",
-        )
-
 
 class TestMemoryTier:
     def test_miss_then_hit(self):
@@ -510,11 +505,19 @@ class TestSuiteMemoNamespace:
         assert ("s1196", "base", 1.0) not in other._outcomes
 
     def test_memory_only_store_never_carries_the_memo(self):
-        suite = ExperimentSuite(
-            circuits=["s1196"], error_rate_cycles=16,
-            store=ArtifactStore(),
+        """A memory-only store is no memo target: it would only alias
+        one suite's runs into the next in-process suite."""
+        shared = ArtifactStore()
+        first = ExperimentSuite(
+            circuits=["s1196"], error_rate_cycles=16, store=shared
         )
-        assert not suite._store_memo_enabled()
+        first.outcome("s1196", "base", 1.0)
+        assert not first.checkpoint(force=True)
+        assert not shared.memory_values("suite-memo")
+        second = ExperimentSuite(
+            circuits=["s1196"], error_rate_cycles=16, store=shared
+        )
+        assert ("s1196", "base", 1.0) not in second._outcomes
 
     def test_checkpoint_uses_unique_tmp_names(self, tmp_path, monkeypatch):
         sources = []

@@ -213,11 +213,21 @@ class TwoPhaseCircuit:
         The slave opens at ``phi1 + gamma1``; early data waits for the
         opening edge (CK->Q), late data flows through transparently
         (D->Q).
+
+        A flop plays two roles under one name: a host edge feeds its
+        Q (source) side, every other edge into it ends at its D
+        (endpoint) pin.  So a host edge reaches ``t`` through the
+        source's fanout even when the source is another flop or ``t``
+        itself, while a cloud edge into a flop other than ``t`` ends
+        in a different stage.
         """
         launch = max(
             self.scheme.slave_open + self.latch_ck_q,
             self.df(driver) + self.latch_d_q,
         )
+        if driver == HOST:
+            tail = self._db_from_source(sink, endpoint)
+            return NEG_INF if tail == NEG_INF else launch + tail
         if sink == endpoint:
             return launch
         sink_gate = self.netlist[sink]
@@ -230,26 +240,44 @@ class TwoPhaseCircuit:
             return NEG_INF  # edge not in this endpoint's cone
         return launch + self.edge_delay(driver, sink) + db
 
+    def _db_from_source(self, source: str, endpoint: str) -> float:
+        """``D^b`` from the Q (source) side of ``source`` to the D pin
+        of ``endpoint``; -inf when no path.
+
+        The backward table of ``endpoint`` holds its D role (seeded at
+        0), so a flop's own Q->D loop is walked here through its
+        fanouts instead.
+        """
+        if source != endpoint:
+            return self.db(source, endpoint)
+        best = NEG_INF
+        for user in self.netlist.fanouts(source):
+            if user == endpoint:
+                best = max(best, 0.0)  # Q wired straight to its own D
+                continue
+            if self.netlist[user].gtype in (GateType.DFF, GateType.OUTPUT):
+                continue  # a different master's D pin
+            tail = self.db(user, endpoint)
+            if tail != NEG_INF:
+                best = max(best, self.edge_delay(source, user) + tail)
+        return best
+
     def endpoint_arrival(
         self, placement: SlavePlacement, endpoint: str
     ) -> float:
         """Worst arrival at ``endpoint`` for a placement: the max of
-        eq. (5) over the slave latches in its fan-in cone."""
+        eq. (5) over the slave latches in its fan-in cone.
+
+        The per-endpoint oracle of :meth:`endpoint_arrivals`: it
+        re-scans every latch edge, so one call is O(edges).
+        """
         cone = self.netlist.fanin_cone(endpoint)
         worst = NEG_INF
         for driver, sink in placement.latch_edges(self.netlist):
-            if sink not in cone:
-                continue
-            if sink != endpoint and driver != HOST:
-                sink_gate = self.netlist[sink]
-                if sink_gate.gtype in (GateType.DFF, GateType.OUTPUT):
-                    # The edge ends at a *different* master's D pin:
-                    # it belongs to another stage (the sink is in the
-                    # cone only through its Q role) and cannot reach
-                    # this endpoint combinationally.
-                    continue
-            value = self.arrival_through(driver, sink, endpoint)
-            worst = max(worst, value)
+            if sink in cone:
+                worst = max(
+                    worst, self.arrival_through(driver, sink, endpoint)
+                )
         return worst
 
     def endpoint_arrivals(
@@ -379,7 +407,13 @@ class TwoPhaseCircuit:
     # -- legality -------------------------------------------------------------
 
     def check_legality(self, placement: SlavePlacement) -> LegalityReport:
-        """Validate ``placement`` against constraints (6)/(7)."""
+        """Validate ``placement`` against constraints (6)/(7) and the
+        resiliency window.
+
+        Linear in the netlist: one scan of the latch edges, and the
+        window overflows from the one arrival DP
+        (:meth:`endpoint_arrivals`).
+        """
         report = LegalityReport()
         report.negative_edges = placement.check_nonnegative(self.netlist)
         forward_limit = self.scheme.forward_limit
@@ -403,9 +437,9 @@ class TwoPhaseCircuit:
             if db > backward_limit + EPS:
                 report.backward_violations.append(sink)
 
-        for endpoint in self._endpoint_names:
-            arrival = self.endpoint_arrival(placement, endpoint)
-            overflow = arrival - self.scheme.window_close
+        window_close = self.scheme.window_close
+        for endpoint, arrival in self.endpoint_arrivals(placement).items():
+            overflow = arrival - window_close
             if overflow > EPS:
                 report.window_overflows[endpoint] = overflow
         return report

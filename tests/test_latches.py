@@ -3,7 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import metrics
 from repro.circuits.fig4 import fig4_circuit
+from repro.flows import prepare_circuit
 from repro.latches import HOST, SlavePlacement, TwoPhaseCircuit
 from repro.latches.conversion import flop_resilient_area, original_flop_report
 from repro.netlist.netlist import GateType
@@ -148,6 +150,19 @@ class TestFig4Timing:
         report = fig4.check_legality(placement)
         assert "O9" in report.retimed_endpoints
         assert not report.ok
+
+
+class TestLegalityCost:
+    def test_check_legality_builds_no_backward_tables(self, s1196, library):
+        """Window overflows come from the one arrival DP: the check
+        neither builds nor queries a per-endpoint ``D^b`` table."""
+        _, circuit = prepare_circuit(s1196.copy(), library)
+        placement = SlavePlacement(retimed=circuit.region_vm())
+        collector = metrics.MetricsCollector()
+        with metrics.collect_into(collector):
+            circuit.check_legality(placement)
+        assert collector.counters.get("sta.backward_to.compute", 0) == 0
+        assert collector.counters.get("sta.backward_to.query", 0) == 0
 
 
 class TestCircuitQueries:

@@ -12,6 +12,7 @@ from repro.cells import default_library
 from repro.circuits.generator import CloudSpec, generate_circuit
 from repro.flows import prepare_circuit
 from repro.latches import SlavePlacement
+from repro.latches.resilient import EPS
 from repro.retime import (
     base_retime,
     build_retiming_graph,
@@ -109,14 +110,32 @@ class TestRetimingInvariants:
     @given(SEEDS)
     @SLOW
     def test_arrival_dp_matches_per_endpoint(self, seed):
-        circuit = make_circuit(seed, flops=6, gates=60, depth=5)
-        result = base_retime(circuit, overhead=1.0)
-        placement = result.placement
-        bulk = circuit.endpoint_arrivals(placement)
-        for endpoint in circuit.endpoint_names:
-            assert bulk[endpoint] == pytest.approx(
-                circuit.endpoint_arrival(placement, endpoint)
-            )
+        """The one-pass arrival DP equals the per-endpoint eq. (5)
+        oracle on every placement kind, unretimed flop Q slaves and
+        FSM Q->D loops included, and the legality check's window
+        overflows are exactly the oracle's."""
+        circuit = make_circuit(seed)
+        window_close = circuit.scheme.window_close
+        placements = (
+            SlavePlacement.initial(),
+            SlavePlacement(retimed=circuit.region_vm()),
+            base_retime(circuit, overhead=1.0).placement,
+            grar_retime(circuit, overhead=1.0).placement,
+        )
+        for placement in placements:
+            bulk = circuit.endpoint_arrivals(placement)
+            oracle = {
+                endpoint: circuit.endpoint_arrival(placement, endpoint)
+                for endpoint in circuit.endpoint_names
+            }
+            for endpoint, arrival in oracle.items():
+                assert bulk[endpoint] == pytest.approx(arrival)
+            overflows = circuit.check_legality(placement).window_overflows
+            assert set(overflows) == {
+                endpoint
+                for endpoint, arrival in oracle.items()
+                if arrival - window_close > EPS
+            }
 
     @given(SEEDS)
     @SLOW

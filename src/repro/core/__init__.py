@@ -1,9 +1,11 @@
-"""Flat-array core: the CSR netlist arena and its vectorized engines.
+"""Flat-array core: the CSR netlist arena and its vectorized timing engine.
 
 See :mod:`repro.core.arena` for the representation and the bit-parity
 contract, and :mod:`repro.core.engine` for the drop-in
 :class:`~repro.sta.engine.TimingEngine` replacement behind the
-``--sta-engine`` switch.
+``--sta-engine`` switch.  Only the max-delay DPs have an arena form;
+min-delay (hold) analysis runs on the object
+:class:`~repro.sta.min_delay.MinDelayAnalysis` alone.
 """
 
 from repro.core.arena import (
@@ -14,7 +16,6 @@ from repro.core.arena import (
 )
 from repro.core.engine import (
     STA_ENGINES,
-    ArenaMinDelayAnalysis,
     ArenaTimingEngine,
     make_timing_engine,
 )
@@ -25,7 +26,6 @@ __all__ = [
     "clear_arena_cache",
     "compile_arena",
     "STA_ENGINES",
-    "ArenaMinDelayAnalysis",
     "ArenaTimingEngine",
     "make_timing_engine",
 ]

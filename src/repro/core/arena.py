@@ -1,14 +1,15 @@
 """Flat-array netlist arena: the vectorized core representation.
 
-The object engines (:class:`~repro.sta.engine.TimingEngine`,
-:class:`~repro.sta.min_delay.MinDelayAnalysis`) walk per-gate Python
-dicts; at Table-I scale that is fine, but the ROADMAP's 10-100x
-circuits spend almost all of their time in the per-node DP loops.
-This module compiles a netlist + delay calculator pair **once** into a
-:class:`NetlistArena`: int-indexed gates, CSR-style per-arc record
-arrays grouped by logic level, and the pre-pulled arc delays — then
-runs the forward/backward max-delay DP (and the min-delay DP) as a
-handful of NumPy reductions per level.
+The object timing engine (:class:`~repro.sta.engine.TimingEngine`)
+walks per-gate Python dicts; at Table-I scale that is fine, but the
+ROADMAP's 10-100x circuits spend almost all of their time in the
+per-node DP loops.  This module compiles a netlist + delay calculator
+pair **once** into a :class:`NetlistArena`: int-indexed gates,
+CSR-style per-arc record arrays grouped by logic level, and the
+pre-pulled arc delays — then runs the forward/backward max-delay DP
+as a handful of NumPy reductions per level.  The min-delay (hold)
+analysis has no arena form: :class:`~repro.sta.min_delay.MinDelayAnalysis`
+computes its one table once and repairs it per inserted buffer.
 
 Bit-parity contract
 -------------------
@@ -19,10 +20,10 @@ engines, in an order that cannot change the result:
 * every arc delay is obtained from the same calculator calls
   (``edge_delay`` / ``transition_edges``) the object DP makes, so the
   per-candidate floats are identical;
-* ``max``/``min`` over non-NaN float64 candidates is
+* ``max`` over non-NaN float64 candidates is
   order-independent, so per-level ``reduceat`` grouping is safe;
 * NaN candidates — which the object DP skips while raising a per-node
-  ``saw_nan`` flag — are masked to ±inf before the reduction and the
+  ``saw_nan`` flag — are masked to -inf before the reduction and the
   flag is re-derived per group, reproducing the object's
   NaN-poisoning rules (a node whose every candidate is NaN becomes
   NaN; a NaN value then propagates downstream by arithmetic);
@@ -65,7 +66,6 @@ from repro.sta.delay_models import (
 from repro.store import ArtifactStore, arena_fingerprint, get_store
 
 NEG_INF = float("-inf")
-POS_INF = float("inf")
 NAN = float("nan")
 
 #: Per-level record block: (record_lo, record_hi, group starts relative
@@ -78,16 +78,6 @@ def _group_starts(keys: np.ndarray) -> np.ndarray:
     if keys.size == 0:
         return np.empty(0, dtype=np.int64)
     return np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-
-
-class _MinDelayNaN(Exception):
-    """Internal: a NaN min-arc delay was seen at compile time.
-
-    Python's ``min()`` over NaN candidates is order-dependent, so the
-    vectorized min DP cannot reproduce it; callers fall back to the
-    object analysis (:class:`~repro.core.engine.ArenaMinDelayAnalysis`
-    catches this).
-    """
 
 
 class NetlistArena:
@@ -616,131 +606,6 @@ class NetlistArena:
     def full_dict(self, arr: np.ndarray) -> Dict[str, float]:
         """A per-gate dict over every node (backward tables)."""
         return dict(zip(self.names, arr.tolist()))
-
-
-# -- min-delay arrays (compiled per MinDelayAnalysis, not cached) -----------
-
-
-class MinDelayTable:
-    """Flat-array form of the min-delay DP over one netlist.
-
-    Built from a :class:`~repro.sta.min_delay.MinDelayAnalysis`'s own
-    ``min_edge_delay`` so the arc floats are identical; raises
-    :class:`_MinDelayNaN` when any min delay is NaN (Python's ``min``
-    over NaN is order-dependent — the caller falls back to the object
-    DP in that case).
-    """
-
-    def __init__(self, netlist: Netlist, analysis) -> None:
-        arena_like = _MinTopology(netlist)
-        self._topo = arena_like
-        src: List[int] = []
-        dst: List[int] = []
-        dly: List[float] = []
-        index = arena_like.index
-        self._bad_fanin: Dict[int, List[Tuple[int, str, str]]] = {}
-        for i, name in enumerate(arena_like.names):
-            gate = netlist[name]
-            if not gate.is_comb:
-                continue
-            seen = set()
-            for dname in gate.fanins:
-                if dname in seen:
-                    continue
-                seen.add(dname)
-                di = index[dname]
-                if arena_like.is_output[di]:
-                    lvl = int(arena_like.level[i])
-                    bad = self._bad_fanin.setdefault(lvl, [])
-                    if not any(e[0] == i for e in bad):
-                        bad.append((i, name, dname))
-                    continue
-                src.append(di)
-                dst.append(i)
-                dly.append(analysis.min_edge_delay(dname, name))
-        for lst in self._bad_fanin.values():
-            lst.sort()
-        self.m_src = np.asarray(src, dtype=np.int64)
-        self.m_dst = np.asarray(dst, dtype=np.int64)
-        self.m_delay = np.asarray(dly, dtype=np.float64)
-        if bool(np.isnan(self.m_delay).any()):
-            raise _MinDelayNaN()
-        self.m_blocks = self._blocks()
-
-    def _blocks(self) -> List[_Block]:
-        topo = self._topo
-        starts = _group_starts(self.m_dst)
-        group_levels = (
-            topo.level[self.m_dst[starts]]
-            if starts.size else np.empty(0, dtype=np.int64)
-        )
-        blocks: List[_Block] = []
-        n_rec = len(self.m_dst)
-        for lvl in range(1, topo.max_level + 1):
-            g0, g1 = np.searchsorted(group_levels, [lvl, lvl + 1])
-            bad = self._bad_fanin.get(lvl, [])
-            if g0 == g1 and not bad:
-                continue
-            if g0 < g1:
-                lo = int(starts[g0])
-                hi = int(starts[g1]) if g1 < len(starts) else n_rec
-                rel = starts[g0:g1] - lo
-                grp_dst = self.m_dst[starts[g0:g1]]
-            else:
-                lo = hi = 0
-                rel = np.empty(0, dtype=np.int64)
-                grp_dst = np.empty(0, dtype=np.int64)
-            blocks.append((lo, hi, rel, grp_dst, bad))
-        return blocks
-
-    def forward_min(self) -> Dict[str, float]:
-        """Levelized min-arrival DP; sources launch at 0."""
-        topo = self._topo
-        arr = np.full(topo.n, POS_INF, dtype=np.float64)
-        arr[topo.src_idx] = 0.0
-        m_src, m_delay = self.m_src, self.m_delay
-        for lo, hi, rel, grp_dst, bad in self.m_blocks:
-            if bad:
-                _, name, driver = bad[0]
-                raise TimingError(
-                    f"gate {name!r} reads {driver!r}, which has "
-                    f"no min arrival (endpoint or outside the "
-                    f"combinational cloud)",
-                    payload={"gate": name, "fanin": driver},
-                )
-            if hi > lo:
-                cand = arr[m_src[lo:hi]] + m_delay[lo:hi]
-                arr[grp_dst] = np.minimum.reduceat(cand, rel)
-        keep = ~topo.is_output
-        idx = np.flatnonzero(keep)
-        return dict(
-            zip((topo.names[i] for i in idx.tolist()), arr[idx].tolist())
-        )
-
-
-class _MinTopology:
-    """The index/level skeleton shared by the min-delay table."""
-
-    def __init__(self, netlist: Netlist) -> None:
-        order = tuple(netlist.topo_order())
-        self.names = order
-        self.index = {n: i for i, n in enumerate(order)}
-        self.n = len(order)
-        self.is_output = np.zeros(self.n, dtype=bool)
-        is_source = np.zeros(self.n, dtype=bool)
-        self.level = np.zeros(self.n, dtype=np.int64)
-        for i, name in enumerate(order):
-            gate = netlist[name]
-            if gate.is_source:
-                is_source[i] = True
-            elif gate.gtype is GateType.OUTPUT:
-                self.is_output[i] = True
-            if not gate.is_source:
-                self.level[i] = 1 + max(
-                    self.level[self.index[d]] for d in gate.fanins
-                )
-        self.src_idx = np.flatnonzero(is_source)
-        self.max_level = int(self.level.max()) if self.n else 0
 
 
 # -- the content-addressed compile cache ------------------------------------

@@ -1,4 +1,4 @@
-"""Arena-backed drop-in engines for the STA queries.
+"""Arena-backed drop-in timing engine for the STA queries.
 
 :class:`ArenaTimingEngine` subclasses the object
 :class:`~repro.sta.engine.TimingEngine` and replaces only its three
@@ -28,17 +28,11 @@ from typing import Dict, Optional, Set
 
 import numpy as np
 
-from repro.core.arena import (
-    MinDelayTable,
-    NetlistArena,
-    _MinDelayNaN,
-    compile_arena,
-)
+from repro.core.arena import NetlistArena, compile_arena
 from repro.errors import TimingError
 from repro.netlist.netlist import NetlistEvent
 from repro.sta.delay_models import PathBasedCalculator
 from repro.sta.engine import TimingEngine
-from repro.sta.min_delay import MinDelayAnalysis
 
 #: Valid values of the ``--sta-engine`` switch.
 STA_ENGINES = ("object", "arena")
@@ -123,24 +117,6 @@ class ArenaTimingEngine(TimingEngine):
     def _compute_backward_any(self) -> Dict[str, float]:
         arena = self._arena()
         return arena.full_dict(arena.backward_any())
-
-
-class ArenaMinDelayAnalysis(MinDelayAnalysis):
-    """Min-delay analysis whose full DP runs on flat arrays.
-
-    The incremental repair path is inherited (it uses the same
-    per-node ``_min_node`` as the object analysis); only the
-    from-scratch compute is vectorized.  NaN min delays make Python's
-    ``min()`` order-dependent, so that (never-in-practice) case falls
-    back to the object DP.
-    """
-
-    def _compute(self) -> Dict[str, float]:
-        try:
-            table = MinDelayTable(self.netlist, self)
-        except _MinDelayNaN:
-            return super()._compute()
-        return table.forward_min()
 
 
 def make_timing_engine(engine: str, *args, **kwargs) -> TimingEngine:

@@ -1,10 +1,14 @@
 """Synthesis-tool substrate.
 
-Stands in for the commercial logic-synthesis tool the paper drives:
-timing reports, a built-in retiming command, max-delay constraints,
-and a size-only incremental compile.  The retiming flows only consume
-these tool services, so exercising them through this substrate covers
-the same integration surface as the paper's flow.
+Stands in for the size-only steps of the commercial logic-synthesis
+tool the paper drives after retiming: one estimate-apply upsizing loop
+behind two front ends (:func:`size_only_compile` on latch-aware
+arrivals for a placement, :func:`speed_paths` on plain path delays, and
+the cost-aware :func:`rescue_paths` on top of the latter), slack-driven
+area recovery, and hold fixing by buffer insertion.  Timing reports,
+the retiming command and the Table I clock recipe live with the flows
+that use them (:mod:`repro.sta`, :mod:`repro.retime`,
+:func:`repro.flows.prepare_circuit`).
 """
 
 from repro.synth.hold_fix import HoldFixReport, fix_hold
@@ -16,7 +20,6 @@ from repro.synth.sizing import (
     size_only_compile,
     speed_paths,
 )
-from repro.synth.tool import SynthTool, ToolOptions
 
 __all__ = [
     "HoldFixReport",
@@ -24,8 +27,6 @@ __all__ = [
     "RecoveryReport",
     "RescueReport",
     "SizingReport",
-    "SynthTool",
-    "ToolOptions",
     "recover_area",
     "required_times",
     "rescue_paths",

@@ -59,26 +59,14 @@ def fix_hold(
     required_min: float,
     endpoints: Optional[Set[str]] = None,
     max_buffers: int = 400,
-    engine: str = "object",
 ) -> HoldFixReport:
     """Insert buffers until every endpoint's min arrival meets the bound.
 
     ``endpoints`` restricts the check (e.g. to error-detecting masters
     only — non-EDL masters never sample inside the window).
-    ``engine`` picks the min-delay DP implementation (``"object"`` or
-    ``"arena"``, mirroring ``--sta-engine``; bit-identical results).
     """
     report = HoldFixReport()
-    if engine == "arena":
-        from repro.core.engine import ArenaMinDelayAnalysis
-
-        analysis = ArenaMinDelayAnalysis(netlist, library)
-    elif engine == "object":
-        analysis = MinDelayAnalysis(netlist, library)
-    else:
-        raise ValueError(
-            f"unknown engine {engine!r} (use 'object' or 'arena')"
-        )
+    analysis = MinDelayAnalysis(netlist, library)
     buffer_cell = library.pick_comb("BUF", 1)
     counter = 0
 
@@ -105,8 +93,6 @@ def fix_hold(
         _insert_buffer(netlist, library, driver, sink, name)
         report.inserted.append(name)
         report.area_delta += buffer_cell.area
-    else:
-        pass
 
     final = analysis.hold_violations(required_min)
     if endpoints is not None:

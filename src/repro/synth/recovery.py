@@ -29,6 +29,7 @@ from typing import Dict, List, Mapping, Tuple
 from repro.cells.cell import CombCell
 from repro.latches.placement import SlavePlacement
 from repro.latches.resilient import EPS, TwoPhaseCircuit
+from repro.synth.sizing import size_only_compile
 
 INF = float("inf")
 
@@ -157,9 +158,13 @@ def recover_area(
         if not changed:
             break
 
-    # Safety: recovery must never break a limit.  Slack sharing makes
-    # violations rare; a final verification pass undoes the pass's
-    # work entirely if one slipped through (cheap and conservative).
+    # Safety net for the endpoint limits: slack sharing makes
+    # violations rare, and if one slipped through, a size-only compile
+    # against the same limits upsizes the violating paths again; the
+    # rest of the pass's downsizing stays.  Only ``limits`` are
+    # checked, not the slave-driver forward limit of constraint (6),
+    # so recovery can re-create (6) violations an earlier clean-up
+    # removed.
     arrivals = circuit.endpoint_arrivals(placement)
     violated = [
         endpoint
@@ -167,7 +172,5 @@ def recover_area(
         if arrivals.get(endpoint, 0.0) > limit + 1e-7
     ]
     if violated:
-        from repro.synth.sizing import size_only_compile
-
         size_only_compile(circuit, placement, limits)
     return report

@@ -8,59 +8,28 @@ constrained incremental compile in which only gate sizing is allowed
 (:func:`size_only_compile`).
 
 Separately, resiliency-aware flows *rescue* masters from the resiliency
-window by speeding their fan-in paths below ``Pi`` — the paper's
-"small area penalty to speed-up the combinational logic and avoid more
-EDLs" (:func:`rescue_endpoints`).  Rescues are cost-aware: area spent
-must not exceed the EDL overhead saved.
+window by speeding their plain fan-in paths below ``Pi``
+(:func:`speed_paths`) — the paper's "small area penalty to speed-up the
+combinational logic and avoid more EDLs" (:func:`rescue_paths`).
+Rescues are cost-aware: area spent must not exceed the EDL overhead
+saved.
 
-Both passes work estimate-first: walk the violating path, rank upsizing
-moves by first-order delay gain per area (resistance drop times driven
-load, minus the extra input capacitance presented to the path's
-driver), apply a batch, then re-time to verify.
+Both front ends run one estimate-apply loop: walk each violating path,
+rank upsizing moves by first-order delay gain per area (resistance drop
+times driven load, minus the extra input capacitance presented to the
+path's driver), apply the best, then re-time to verify.  They differ
+only in what they measure — latch-aware arrivals for a placement, or
+the live engine's plain arrivals — and in how they trace a path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.cells.cell import CombCell
 from repro.latches.placement import SlavePlacement
 from repro.latches.resilient import EPS, TwoPhaseCircuit
-from repro.netlist.netlist import Netlist
-
-
-class TrialMoves:
-    """Speculative cell swaps with one-call rollback.
-
-    Both :meth:`apply` and :meth:`rollback` go through
-    ``Netlist.replace_cell``, so the timing engines receive matching
-    change events and repair exactly the cone a trial touched — a
-    rejected move costs two cone repairs (apply + undo), never a full
-    recompute.  ``moves`` holds ``(gate, original_cell)`` pairs in
-    application order.
-    """
-
-    def __init__(self, netlist: Netlist) -> None:
-        self.netlist = netlist
-        self.moves: List[Tuple[str, str]] = []
-
-    def __bool__(self) -> bool:
-        return bool(self.moves)
-
-    def __iter__(self):
-        return iter(self.moves)
-
-    def apply(self, name: str, new_cell: str) -> None:
-        """Swap ``name`` to ``new_cell``, remembering the original."""
-        self.moves.append((name, self.netlist[name].cell))
-        self.netlist.replace_cell(name, new_cell)
-
-    def rollback(self) -> None:
-        """Revert every recorded swap, newest first."""
-        for name, old_cell in reversed(self.moves):
-            self.netlist.replace_cell(name, old_cell)
-        self.moves.clear()
 
 
 @dataclass
@@ -210,49 +179,74 @@ def _upsize_moves(
     return moves
 
 
-def _speed_up_endpoint(
-    circuit: TwoPhaseCircuit,
-    placement: SlavePlacement,
-    endpoint: str,
-    target: float,
-    budget: float,
-    max_attempts: int = 4,
-    safety: float = 1.3,
-) -> Tuple[bool, float, TrialMoves]:
-    """Estimate-apply-verify loop for one endpoint.
+#: One pass measurement: the arrival of a limited node, and the path
+#: the pass's upsizing moves are drawn from for a violating one.
+Measurement = Tuple[Callable[[str], float], Callable[[str], List[str]]]
 
-    Returns (met_target, area_spent, trial).  The caller decides
-    whether to keep the trial's moves or ``rollback()`` them; either
-    way the timing caches follow via change events — no explicit
-    invalidation.
+
+def _upsize_loop(
+    circuit: TwoPhaseCircuit,
+    limits: Mapping[str, float],
+    measure: Callable[[], Measurement],
+    max_passes: int,
+    endpoints_per_pass: int,
+) -> SizingReport:
+    """The estimate-apply loop both sizing front ends share.
+
+    Each pass takes one ``measure()``, ranks the violating nodes worst
+    first and applies the two best upsizing moves on each one's traced
+    path; a node with no move left is dropped.  The loop stops when no
+    node violates or none is left, then measures once more to report
+    what stayed unresolved.
     """
-    spent = 0.0
-    trial = TrialMoves(circuit.netlist)
-    for _ in range(max_attempts):
-        arrivals, post = circuit.arrival_details(placement)
-        overshoot = arrivals.get(endpoint, 0.0) - target
-        if overshoot <= EPS:
-            return True, spent, trial
-        path = _trace_violating_path(circuit, placement, post, endpoint)
-        moves = _upsize_moves(circuit, path)
-        chosen: List[Tuple[float, float, str, str]] = []
-        estimated = 0.0
-        cost = 0.0
-        for gain, area_cost, name, new_cell in moves:
-            if spent + cost + area_cost > budget:
+    report = SizingReport()
+    if circuit.library is None:
+        raise ValueError("sizing needs a library")
+    baseline_area = circuit.netlist.comb_area(circuit.library)
+    active = dict(limits)
+
+    initial_violations: Optional[Set[str]] = None
+    for pass_index in range(max_passes):
+        arrival, trace = measure()
+        violations = {}
+        for endpoint, limit in active.items():
+            value = arrival(endpoint)
+            if value > limit + EPS:
+                violations[endpoint] = value - limit
+        if initial_violations is None:
+            initial_violations = set(violations)
+        if not violations:
+            break
+        worst_first = sorted(
+            violations, key=violations.get, reverse=True
+        )[:endpoints_per_pass]
+        for endpoint in worst_first:
+            moves = _upsize_moves(circuit, trace(endpoint))
+            if not moves:
+                del active[endpoint]
                 continue
-            chosen.append((gain, area_cost, name, new_cell))
-            estimated += gain
-            cost += area_cost
-            if estimated >= safety * overshoot:
-                break
-        if not chosen:
-            return False, spent, trial
-        for _, area_cost, name, new_cell in chosen:
-            trial.apply(name, new_cell)
-            spent += area_cost
-    arrivals = circuit.endpoint_arrivals(placement)
-    return arrivals.get(endpoint, 0.0) - target <= EPS, spent, trial
+            for _, _, name, new_cell in moves[:2]:
+                first = report.resized.get(
+                    name, (circuit.netlist[name].cell, new_cell)
+                )[0]
+                report.resized[name] = (first, new_cell)
+                circuit.netlist.replace_cell(name, new_cell)
+        report.passes = pass_index + 1
+        if not active:
+            break
+
+    arrival, _ = measure()
+    for endpoint, limit in limits.items():
+        overshoot = arrival(endpoint) - limit
+        if overshoot > EPS:
+            report.unresolved[endpoint] = overshoot
+    report.fixed_endpoints = len(
+        (initial_violations or set()) - set(report.unresolved)
+    )
+    report.area_delta = (
+        circuit.netlist.comb_area(circuit.library) - baseline_area
+    )
+    return report
 
 
 def size_only_compile(
@@ -266,139 +260,23 @@ def size_only_compile(
 
     ``limits`` maps endpoints to their latest legal arrival — the
     window close for error-detecting masters, ``Pi`` for masters that
-    retiming promised would be non-error-detecting.
+    retiming promised would be non-error-detecting.  Each pass times
+    the placement once (latch-aware arrivals) and traces every
+    violating path on that snapshot.
     """
-    report = SizingReport()
-    if circuit.library is None:
-        raise ValueError("size-only compile needs a library")
-    baseline_area = circuit.netlist.comb_area(circuit.library)
-    active = dict(limits)
-    hopeless: Dict[str, float] = {}
 
-    initial_violations: Optional[Set[str]] = None
-    for pass_index in range(max_passes):
+    def measure() -> Measurement:
         arrivals, post = circuit.arrival_details(placement)
-        violations = {
-            endpoint: arrivals[endpoint] - limit
-            for endpoint, limit in active.items()
-            if arrivals.get(endpoint, 0.0) > limit + EPS
-        }
-        if initial_violations is None:
-            initial_violations = set(violations)
-        if not violations:
-            break
-        worst_first = sorted(
-            violations, key=violations.get, reverse=True
-        )[:endpoints_per_pass]
-        progressed = False
-        for endpoint in worst_first:
-            path = _trace_violating_path(circuit, placement, post, endpoint)
-            moves = _upsize_moves(circuit, path)
-            if not moves:
-                hopeless[endpoint] = violations[endpoint]
-                del active[endpoint]
-                continue
-            for _, _, name, new_cell in moves[:2]:
-                report.resized.setdefault(
-                    name, (circuit.netlist[name].cell, new_cell)
-                )
-                report.resized[name] = (
-                    report.resized[name][0], new_cell
-                )
-                circuit.netlist.replace_cell(name, new_cell)
-                progressed = True
-        report.passes = pass_index + 1
-        if not progressed:
-            if not any(e in active for e in worst_first):
-                continue
-            break
-
-    arrivals = circuit.endpoint_arrivals(placement)
-    for endpoint, limit in limits.items():
-        overshoot = arrivals.get(endpoint, 0.0) - limit
-        if overshoot > EPS:
-            report.unresolved[endpoint] = overshoot
-    report.fixed_endpoints = len(
-        (initial_violations or set()) - set(report.unresolved)
-    )
-    report.area_delta = (
-        circuit.netlist.comb_area(circuit.library) - baseline_area
-    )
-    return report
-
-
-def rescue_endpoints(
-    circuit: TwoPhaseCircuit,
-    placement: SlavePlacement,
-    candidates: List[str],
-    target: float,
-    budget_per_endpoint: float,
-) -> RescueReport:
-    """Pull endpoint arrivals below ``target`` where it is profitable.
-
-    This is the mechanism behind the paper's near-zero EDL counts: a
-    master whose fan-in can be sped below ``Pi`` for less area than its
-    EDL overhead gets a plain latch instead.  Unprofitable attempts are
-    reverted.  A successful rescue often drags sibling endpoints below
-    the target for free (shared paths), so arrivals are refreshed
-    between attempts and freebies are recorded as rescued.
-    """
-    report = RescueReport()
-    if circuit.library is None:
-        raise ValueError("rescue needs a library")
-    if budget_per_endpoint <= 0:
-        report.abandoned.extend(candidates)
-        return report
-
-    # Stage 1 — global attempt: near-critical paths share gates, so
-    # one resize often rescues many masters; judge profitability on
-    # the whole batch (total area spent vs total EDL overhead saved).
-    # This is what makes high-overhead runs converge to the paper's
-    # near-zero EDL counts while low-overhead runs keep some EDLs.
-    batch = size_only_compile(
-        circuit, placement, {e: target for e in candidates}
-    )
-    batch_rescued = [e for e in candidates if e not in batch.unresolved]
-    if batch_rescued and batch.area_delta <= budget_per_endpoint * len(
-        batch_rescued
-    ):
-        report.rescued = batch_rescued
-        report.abandoned = list(batch.unresolved)
-        report.resized = dict(batch.resized)
-        report.area_delta = batch.area_delta
-        return report
-    # Unprofitable globally: revert and fall back to per-endpoint
-    # greedy rescues under the individual budget.
-    for name, (old_cell, _) in batch.resized.items():
-        circuit.netlist.replace_cell(name, old_cell)
-
-    arrivals = circuit.endpoint_arrivals(placement)
-    queue = sorted(
-        (e for e in candidates if arrivals.get(e, 0.0) > target + EPS),
-        key=lambda e: arrivals[e],
-    )
-    stale = False
-    for endpoint in queue:
-        if stale:
-            arrivals = circuit.endpoint_arrivals(placement)
-            stale = False
-        if arrivals.get(endpoint, 0.0) <= target + EPS:
-            report.rescued.append(endpoint)  # freebie from earlier rescue
-            continue
-        met, spent, trial = _speed_up_endpoint(
-            circuit, placement, endpoint, target, budget_per_endpoint
+        return (
+            lambda endpoint: arrivals.get(endpoint, 0.0),
+            lambda endpoint: _trace_violating_path(
+                circuit, placement, post, endpoint
+            ),
         )
-        stale = bool(trial)
-        if met:
-            report.rescued.append(endpoint)
-            report.area_delta += spent
-            for name, old_cell in trial:
-                first = report.resized.get(name, (old_cell, ""))[0]
-                report.resized[name] = (first, circuit.netlist[name].cell)
-        else:
-            trial.rollback()
-            report.abandoned.append(endpoint)
-    return report
+
+    return _upsize_loop(
+        circuit, limits, measure, max_passes, endpoints_per_pass
+    )
 
 
 def speed_paths(
@@ -414,16 +292,13 @@ def speed_paths(
     delays the retiming graph is built from: pulling an endpoint's
     worst path below ``Pi`` is what turns an always-error-detecting
     master into a retiming target ("speeding up the combinational
-    logic to avoid more EDLs").  Retiming should be re-run afterwards.
+    logic to avoid more EDLs").  Arrivals and traces read the live
+    timing engine.  Retiming should be re-run afterwards.
     """
-    report = SizingReport()
-    if circuit.library is None:
-        raise ValueError("speed_paths needs a library")
-    baseline_area = circuit.netlist.comb_area(circuit.library)
     engine = circuit.engine
     endpoint_set = set(g.name for g in circuit.netlist.endpoints())
 
-    def measure(node: str) -> float:
+    def arrival(node: str) -> float:
         # Endpoints are measured at their data input; internal gates
         # (constraint (6) fixes target the slave-latch drivers) at
         # their output arrival D^f.
@@ -431,55 +306,13 @@ def speed_paths(
             return engine.endpoint_arrival(node)
         return engine.forward_arrival(node)
 
-    active = dict(limits)
-    initial_violations: Optional[Set[str]] = None
+    def trace(node: str) -> List[str]:
+        return _trace_plain_path(circuit, node)
 
-    for pass_index in range(max_passes):
-        violations = {}
-        for endpoint, limit in active.items():
-            arrival = measure(endpoint)
-            if arrival > limit + EPS:
-                violations[endpoint] = arrival - limit
-        if initial_violations is None:
-            initial_violations = set(violations)
-        if not violations:
-            break
-        worst_first = sorted(
-            violations, key=violations.get, reverse=True
-        )[:endpoints_per_pass]
-        progressed = False
-        for endpoint in worst_first:
-            path = _trace_plain_path(circuit, endpoint)
-            moves = _upsize_moves(circuit, path)
-            if not moves:
-                del active[endpoint]
-                continue
-            for _, _, name, new_cell in moves[:2]:
-                first = report.resized.get(
-                    name, (circuit.netlist[name].cell, new_cell)
-                )[0]
-                report.resized[name] = (first, new_cell)
-                circuit.netlist.replace_cell(name, new_cell)
-                progressed = True
-        report.passes = pass_index + 1
-        if not progressed:
-            if not active:
-                break
-            if not any(e in active for e in worst_first):
-                continue
-            break
-
-    for endpoint, limit in limits.items():
-        overshoot = measure(endpoint) - limit
-        if overshoot > EPS:
-            report.unresolved[endpoint] = overshoot
-    report.fixed_endpoints = len(
-        (initial_violations or set()) - set(report.unresolved)
+    return _upsize_loop(
+        circuit, limits, lambda: (arrival, trace), max_passes,
+        endpoints_per_pass,
     )
-    report.area_delta = (
-        circuit.netlist.comb_area(circuit.library) - baseline_area
-    )
-    return report
 
 
 def _trace_plain_path(circuit: TwoPhaseCircuit, endpoint: str) -> List[str]:
@@ -551,7 +384,6 @@ def rescue_paths(
         for name, (old_cell, _) in batch.resized.items():
             circuit.netlist.replace_cell(name, old_cell)
 
-    engine = circuit.engine
     queue = sorted(candidates, key=engine.endpoint_arrival)
     consecutive_failures = 0
     for endpoint in queue:

@@ -70,7 +70,6 @@ def vl_retime(
     post_swap: bool = True,
     solver: str = "flow",
     types: Optional[Dict[str, bool]] = None,
-    forced_cuts: bool = True,
     solver_policy=None,
 ) -> RetimingResult:
     """Run one VL-RAR variant; returns a :class:`RetimingResult`.
@@ -93,32 +92,27 @@ def vl_retime(
     regions = compute_regions(circuit)
     phases["typing"] = time.perf_counter() - tick
 
-    # Hard constraints from non-EDL typings.  By default these are NOT
-    # encoded as forced latch moves: the commercial tool meets the
-    # extended virtual-library setups mostly by sizing ("the synthesis
-    # tool tends to favor increasing combinational logic area to avoid
-    # the resiliency window"), which the flow layer's size-only compile
-    # models.  ``forced_cuts=True`` enables the alternative encoding —
-    # forcing the g(t) cut sets to be retimed through — kept for the
-    # ablation benchmark.
+    # Hard constraints from non-EDL typings: each g(t) cut set is
+    # forced into Vm so the slaves are retimed through it.  A constraint
+    # the tool cannot meet that way (an always-EDL master, or a cut
+    # through unforceable gates) is dropped.
     tick = time.perf_counter()
     forced: Set[str] = set()
     dropped: Set[str] = set()
-    if forced_cuts:
-        cut_sets = compute_cut_sets(circuit, regions)
-        forceable = forceable_gates(circuit, regions)
-        for endpoint, is_edl in types.items():
-            if is_edl:
-                continue
-            cut = cut_sets[endpoint]
-            if cut.kind is EndpointClass.NEVER:
-                continue
-            if cut.kind is EndpointClass.ALWAYS or not all(
-                g in forceable for g in cut.gates
-            ):
-                dropped.add(endpoint)  # tool cannot meet this constraint
-                continue
-            forced.update(cut.gates)
+    cut_sets = compute_cut_sets(circuit, regions)
+    forceable = forceable_gates(circuit, regions)
+    for endpoint, is_edl in types.items():
+        if is_edl:
+            continue
+        cut = cut_sets[endpoint]
+        if cut.kind is EndpointClass.NEVER:
+            continue
+        if cut.kind is EndpointClass.ALWAYS or not all(
+            g in forceable for g in cut.gates
+        ):
+            dropped.add(endpoint)  # tool cannot meet this constraint
+            continue
+        forced.update(cut.gates)
     constrained_regions = Regions(
         vm=frozenset(regions.vm | forced),
         vn=regions.vn,

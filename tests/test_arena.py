@@ -22,7 +22,6 @@ from repro.circuits.suite import (
 )
 from repro.core import (
     STA_ENGINES,
-    ArenaMinDelayAnalysis,
     ArenaTimingEngine,
     clear_arena_cache,
     compile_arena,
@@ -39,7 +38,6 @@ from repro.scenarios.injectors import (
 from repro.netlist import NetlistBuilder
 from repro.sim import estimate_error_rate, estimate_error_rate_batched
 from repro.sta.engine import TimingEngine
-from repro.sta.min_delay import MinDelayAnalysis
 
 LIBRARY = default_library()
 
@@ -116,17 +114,6 @@ class TestForwardBackwardParity:
             obj.netlist.replace_cell(name, swap)
             arena.netlist.replace_cell(name, swap)
             assert_engines_identical(obj, arena)
-
-    def test_min_delay_parity(self):
-        netlist = make_netlist(31)
-        obj = MinDelayAnalysis(netlist.copy(), LIBRARY)
-        arena = ArenaMinDelayAnalysis(netlist.copy(), LIBRARY)
-        for gate in netlist.gates.values():
-            if gate.gtype.name == "OUTPUT":
-                continue
-            assert obj.min_arrival(gate.name) == arena.min_arrival(
-                gate.name
-            ), gate.name
 
     def test_error_message_parity(self):
         """A comb gate reading a PO errors identically in both engines."""
@@ -373,14 +360,6 @@ class TestArenaProperties:
         netlist = make_netlist(seed, flops=6, gates=70, depth=5)
         obj, arena = engine_pair(netlist, model=model)
         assert_engines_identical(obj, arena)
-        obj_min = MinDelayAnalysis(obj.netlist, LIBRARY)
-        arena_min = ArenaMinDelayAnalysis(arena.netlist, LIBRARY)
-        for gate in netlist.gates.values():
-            if gate.gtype.name == "OUTPUT":
-                continue
-            assert obj_min.min_arrival(gate.name) == (
-                arena_min.min_arrival(gate.name)
-            )
 
     @given(SEEDS, st.integers(min_value=0, max_value=10**6))
     @SLOW

@@ -29,7 +29,6 @@ from repro.netlist import (
 from repro.sta import TimingEngine
 from repro.sta.engine import NEG_INF
 from repro.sta.min_delay import MinDelayAnalysis
-from repro.synth.sizing import TrialMoves
 
 LIBRARY = default_library()
 
@@ -337,9 +336,9 @@ class TestScopedRepair:
         assert collector.counters.get("sta.full_recompute", 0) == 0
 
     def test_rejected_trial_move_never_full_recomputes(self):
-        # Satellite regression: a rejected + undone sizing move used to
-        # cost two whole-engine invalidations; with events it must cost
-        # two cone repairs and zero full recomputes.
+        # A rejected sizing move (swap, evaluate, swap back) must cost
+        # two cone repairs and zero full recomputes, never a
+        # whole-engine invalidation.
         netlist = _generated(12, gates=100, flops=8)
         engine = TimingEngine(netlist, LIBRARY, incremental=True)
         before = {
@@ -355,10 +354,9 @@ class TestScopedRepair:
         assert candidate is not None
         collector = metrics.MetricsCollector()
         with metrics.collect_into(collector):
-            trial = TrialMoves(netlist)
-            trial.apply(gate.name, candidate.name)
+            netlist.replace_cell(gate.name, candidate.name)
             engine.worst_arrival()  # evaluate the trial
-            trial.rollback()  # reject it
+            netlist.replace_cell(gate.name, cell.name)  # reject it
             after = {
                 name: engine.forward_arrival(name)
                 for name in netlist.topo_order()

@@ -1,11 +1,11 @@
-"""Tests for the synthesis-tool substrate: sizing, recovery, facade."""
+"""Tests for the synthesis-tool substrate: sizing and recovery."""
 
 import pytest
 
 from repro.flows import prepare_circuit
-from repro.latches import SlavePlacement
-from repro.retime import base_retime, grar_retime
-from repro.synth import SynthTool, ToolOptions, size_only_compile
+from repro.latches import TwoPhaseCircuit
+from repro.retime import base_retime
+from repro.synth import size_only_compile, sizing
 from repro.synth.recovery import recover_area, required_times
 from repro.synth.sizing import rescue_paths, speed_paths
 
@@ -61,6 +61,24 @@ class TestSizeOnlyCompile:
         assert victim in report.unresolved
         assert not report.clean
 
+    def test_stops_once_no_endpoint_is_left(self, sized_case, monkeypatch):
+        """One snapshot per pass plus the final check: the pass that
+        drops the last endpoint ends the loop without another DP."""
+        _, circuit, placement = sized_case
+        real = TwoPhaseCircuit.arrival_details
+        calls = []
+
+        def counted(self, placement):
+            calls.append(placement)
+            return real(self, placement)
+
+        monkeypatch.setattr(TwoPhaseCircuit, "arrival_details", counted)
+        victim = circuit.endpoint_names[0]
+        report = size_only_compile(circuit, placement, {victim: 1e-6})
+        assert victim in report.unresolved
+        assert report.passes >= 1
+        assert len(calls) == report.passes + 1
+
 
 class TestSpeedPaths:
     def test_speeds_below_target(self, small_netlist, library):
@@ -85,6 +103,39 @@ class TestSpeedPaths:
         )
         assert report.n_resized == 0
         assert report.area_delta == 0
+
+    def test_internal_gate_limit(self, small_netlist, library, monkeypatch):
+        """The constraint (6) clean-up limits slave-latch drivers, which
+        are internal gates: measured at their output arrival D^f and
+        traced from themselves."""
+        _, circuit = prepare_circuit(small_netlist.copy(), library)
+        engine = circuit.engine
+        endpoints = set(circuit.endpoint_names)
+        gate = max(
+            (
+                g.name
+                for g in circuit.netlist.comb_gates()
+                if g.name not in endpoints
+            ),
+            key=engine.forward_arrival,
+        )
+        limit = 0.9 * engine.forward_arrival(gate)
+        real = sizing._upsize_moves
+        traced = []
+
+        def spy(circuit_, path):
+            traced.append(list(path))
+            return real(circuit_, path)
+
+        monkeypatch.setattr(sizing, "_upsize_moves", spy)
+        report = speed_paths(circuit, {gate: limit})
+        assert traced and all(path[0] == gate for path in traced)
+        final = engine.forward_arrival(gate)
+        if gate in report.unresolved:
+            assert report.unresolved[gate] == pytest.approx(final - limit)
+        else:
+            assert final <= limit + 1e-9
+            assert report.fixed_endpoints == 1
 
 
 class TestRescuePaths:
@@ -175,44 +226,3 @@ class TestRecovery:
                     gate.name, user
                 )
                 assert req.get(gate.name, float("inf")) <= bound + 1e-9
-
-
-class TestSynthTool:
-    def test_derive_clock(self, small_netlist, library):
-        tool = SynthTool(small_netlist.copy(), library)
-        scheme = tool.derive_clock()
-        assert scheme.max_path_delay > 0
-        assert any("derive_clock" in line for line in tool.log)
-
-    def test_report_timing(self, small_netlist, library):
-        tool = SynthTool(small_netlist.copy(), library)
-        paths = tool.report_timing(count=3)
-        assert len(paths) == 3
-        assert paths[0].arrival >= paths[-1].arrival
-
-    def test_constraints_logged(self, small_netlist, library):
-        tool = SynthTool(small_netlist.copy(), library)
-        tool.set_max_delay("ff0", 1.0)
-        assert tool.max_delay_constraints == {"ff0": 1.0}
-
-    def test_retime_command(self, small_netlist, library):
-        netlist = small_netlist.copy()
-        tool = SynthTool(netlist, library)
-        scheme = tool.derive_clock()
-        _, circuit = prepare_circuit(netlist, library, scheme=scheme)
-        result = tool.retime(circuit, resiliency_aware=True, overhead=1.0)
-        assert result.method.startswith("grar")
-        base = tool.retime(circuit, resiliency_aware=False, overhead=1.0)
-        assert base.method.startswith("base")
-
-    def test_compile_incremental_size_only_guard(
-        self, small_netlist, library
-    ):
-        netlist = small_netlist.copy()
-        tool = SynthTool(netlist, library)
-        scheme = tool.derive_clock()
-        _, circuit = prepare_circuit(netlist, library, scheme=scheme)
-        with pytest.raises(NotImplementedError):
-            tool.compile_incremental(
-                circuit, SlavePlacement.initial(), size_only=False
-            )

@@ -103,15 +103,6 @@ class TestVlRetime:
         assert not fig4.is_edl(result.placement, "O9")
         assert {"G5", "G6"} <= result.placement.retimed
 
-    def test_forced_cuts_off_keeps_min_slaves(self, fig4):
-        loose = vl_retime(
-            fig4, overhead=1.0, variant=VlVariant.NVL, forced_cuts=False
-        )
-        forced = vl_retime(
-            fig4, overhead=1.0, variant=VlVariant.NVL, forced_cuts=True
-        )
-        assert loose.n_slaves <= forced.n_slaves
-
     def test_explicit_types_respected(self, fig4):
         result = vl_retime(
             fig4,

@@ -22,7 +22,6 @@ Public API quick reference::
 from repro.cells import build_virtual_library, default_library
 from repro.circuits import build_benchmark, suite_names
 from repro.clocks import ClockScheme, scheme_from_period
-from repro.core import STA_ENGINES, make_timing_engine
 from repro.errors import (
     FlowStageError,
     InvariantError,
@@ -57,7 +56,6 @@ __all__ = [
     "TimingError",
     "Netlist",
     "NetlistBuilder",
-    "STA_ENGINES",
     "SlavePlacement",
     "TwoPhaseCircuit",
     "VlVariant",
@@ -68,7 +66,6 @@ __all__ = [
     "estimate_error_rate",
     "estimate_error_rate_batched",
     "grar_retime",
-    "make_timing_engine",
     "parse_bench",
     "prepare_circuit",
     "run_flow",

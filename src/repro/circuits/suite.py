@@ -132,14 +132,13 @@ def suite_names(small_only: bool = False) -> List[str]:
 
 
 def scaled_profile(base: BenchmarkProfile, factor: int) -> BenchmarkProfile:
-    """A Table-I profile grown ``factor``-fold for throughput benches.
+    """A Table-I profile grown ``factor``-fold for stress runs.
 
     I/O, flop and gate counts scale linearly while the logic depth is
-    kept — the point of the scaled circuits is wider DP levels (where
-    the vectorized arena engine earns its keep), not longer critical
-    paths that would change the timing profile class.  The seed is
-    derived deterministically so ``s38417x10`` is the same netlist in
-    every session.
+    kept — the point of the scaled circuits is more gates per timing
+    level, not longer critical paths that would change the timing
+    profile class.  The seed is derived deterministically so
+    ``s38417x10`` is the same netlist in every session.
     """
     if factor < 2 or factor > MAX_SCALE_FACTOR:
         raise ValueError(
@@ -179,8 +178,8 @@ def build_benchmark(name: str, library: Library) -> Netlist:
     see :mod:`repro.circuits.plasma`); the ISCAS89 circuits use the
     statistics-matched random generator.  A ``<base>x<factor>`` name
     (e.g. ``"s38417x10"``, factor 2-100) generates a circuit with the
-    base profile's statistics scaled ``factor``-fold — the stress
-    inputs for the arena engine benchmarks.
+    base profile's statistics scaled ``factor``-fold, a stress input
+    for any flow or table.
     """
     if name == "plasma":
         from repro.circuits.plasma import build_plasma

@@ -170,6 +170,8 @@ def _external_netlist(args: argparse.Namespace, library):
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.overhead < 0:
         raise ValueError("--overhead must be non-negative")
+    if args.cycles < 1:
+        raise ValueError("--cycles must be at least 1")
     library = default_library()
     netlist = _external_netlist(args, library)
     convert = None
@@ -184,8 +186,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     with _store_scope(_open_cli_store(args)):
         scheme, _ = prepare_circuit(
-            netlist, library, sta_mode=args.sta_mode,
-            sta_engine=args.sta_engine, convert=convert,
+            netlist, library, sta_mode=args.sta_mode, convert=convert
         )
         print(f"{netlist.name}: {netlist.stats()}")
         print(
@@ -195,7 +196,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         outcome = run_flow(
             args.method, netlist, library, args.overhead, scheme=scheme,
             guard=args.guard, sta_mode=args.sta_mode,
-            sta_engine=args.sta_engine,
             retime_cache=args.retime_cache == "on",
             convert=convert,
         )
@@ -231,6 +231,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
+    if args.cycles < 1:
+        raise ValueError("--cycles must be at least 1")
     library = default_library()
     external = []
     for path in args.from_bench or []:
@@ -249,47 +251,49 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     jobs = max(1, args.jobs)
     collector = metrics.MetricsCollector()
     suite_started = time.perf_counter()
-    suite = ExperimentSuite(
-        circuits=circuits + [nl.name for nl in external],
-        library=library,
-        error_rate_cycles=args.cycles,
-        sim_backend=args.sim_backend,
-        sta_mode=args.sta_mode,
-        sta_engine=args.sta_engine,
-        guard=args.guard,
-        isolate=args.isolate,
-        memo_path=args.memo,
-        checkpoint_every=8 if jobs > 1 else 1,
-        retime_cache=args.retime_cache == "on",
-        store=_open_cli_store(args),
-    )
-    for nl in external:
-        # Validate through the conversion front end; the derived
-        # scheme is bit-identical to the suite's own recipe, so the
-        # seeded clock keeps converted and native sweeps comparable.
-        from repro.convert import convert_to_two_phase
-
-        design = convert_to_two_phase(
-            nl, library, sta_mode=args.sta_mode,
-            sta_engine=args.sta_engine,
-        )
-        suite.add_netlist(nl.name, nl, scheme=design.scheme)
-        print(f"converted: {design.report.summary()}", file=sys.stderr)
-    producers = [
-        ("table i", suite.table1),
-        ("table ii", suite.table2),
-        ("table iii", suite.table3),
-        ("table iv", suite.table4),
-        ("table v", suite.table5),
-        ("table vi", suite.table6),
-        ("table vii", suite.table7),
-        ("table viii", suite.table8),
-        ("table ix", suite.table9),
-        ("vi-d", suite.flop_comparison),
-    ]
-    wanted = [w.lower() for w in (args.tables or [])]
-    parallel_summary = None
+    # Collect from here on: building the suite loads the memo and
+    # converting external netlists runs STA; the artifact counts both.
     with metrics.collect_into(collector):
+        suite = ExperimentSuite(
+            circuits=circuits + [nl.name for nl in external],
+            library=library,
+            error_rate_cycles=args.cycles,
+            sim_backend=args.sim_backend,
+            sta_mode=args.sta_mode,
+            guard=args.guard,
+            isolate=args.isolate,
+            memo_path=args.memo,
+            checkpoint_every=8 if jobs > 1 else 1,
+            retime_cache=args.retime_cache == "on",
+            store=_open_cli_store(args),
+        )
+        for nl in external:
+            # Validate through the conversion front end; the derived
+            # scheme is bit-identical to the suite's own recipe, so the
+            # seeded clock keeps converted and native sweeps comparable.
+            from repro.convert import convert_to_two_phase
+
+            design = convert_to_two_phase(
+                nl, library, sta_mode=args.sta_mode
+            )
+            suite.add_netlist(nl.name, nl, scheme=design.scheme)
+            print(
+                f"converted: {design.report.summary()}", file=sys.stderr
+            )
+        producers = [
+            ("table i", suite.table1),
+            ("table ii", suite.table2),
+            ("table iii", suite.table3),
+            ("table iv", suite.table4),
+            ("table v", suite.table5),
+            ("table vi", suite.table6),
+            ("table vii", suite.table7),
+            ("table viii", suite.table8),
+            ("table ix", suite.table9),
+            ("vi-d", suite.flop_comparison),
+        ]
+        wanted = [w.lower() for w in (args.tables or [])]
+        parallel_summary = None
         if jobs > 1:
             from repro.harness.parallel import (
                 methods_for_tables,
@@ -300,24 +304,12 @@ def _cmd_tables(args: argparse.Namespace) -> int:
             parallel_summary = run_suite_parallel(
                 suite, jobs=jobs, methods=methods, error_rates=need_rates
             )
-        for _, producer in producers:
-            table = None
-            if wanted:
-                # Filter by the rendered id without computing the
-                # table: producer names map 1:1 onto table ids.
-                label = producer.__name__
-                table_id = {
-                    "table1": "table i", "table2": "table ii",
-                    "table3": "table iii", "table4": "table iv",
-                    "table5": "table v", "table6": "table vi",
-                    "table7": "table vii", "table8": "table viii",
-                    "table9": "table ix", "flop_comparison": "vi-d",
-                }[label]
-                if table_id not in wanted:
-                    continue
-            table = producer()
+        for table_id, producer in producers:
+            if wanted and table_id not in wanted:
+                continue
+            rendered = producer().render()
             print()
-            print(table.render())
+            print(rendered)
     suite.checkpoint(force=True)
     if args.bench_out:
         report = metrics.bench_report(
@@ -375,6 +367,8 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
 
     if args.overhead < 0:
         raise ValueError("--overhead must be non-negative")
+    if args.cycles < 1:
+        raise ValueError("--cycles must be at least 1")
     if not 0.0 <= args.harden_fraction <= 1.0:
         raise ValueError("--harden-fraction must be in [0, 1]")
     if args.deadline is not None and args.deadline <= 0:
@@ -472,9 +466,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         args.netlist, library, fmt=args.format, name=args.name
     )
     design = convert_to_two_phase(
-        netlist, library,
-        sta_mode=args.sta_mode, sta_engine=args.sta_engine,
-        balance=not args.no_balance,
+        netlist, library, balance=not args.no_balance
     )
     report = design.report
     print(f"{netlist.name}: {netlist.stats()}")
@@ -603,13 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
              " change; results are bit-identical",
     )
     run.add_argument(
-        "--sta-engine", default="object",
-        choices=["object", "arena"],
-        help="timing-engine implementation: the object-graph reference"
-             " (default) or the vectorized flat-array arena;"
-             " results are bit-identical",
-    )
-    run.add_argument(
         "--guard", default="off", choices=["off", "warn", "strict"],
         help="inter-stage invariant checkpoints",
     )
@@ -622,8 +607,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--store", default=None, metavar="DIR",
         help="persistent artifact store: compiled retiming problems"
-             " and timing arenas are reused across invocations"
-             " (results are bit-identical with and without it)",
+             " are reused across invocations (results are"
+             " bit-identical with and without it)",
     )
     run.add_argument(
         "--store-capacity", type=int, default=None, metavar="N",
@@ -665,12 +650,6 @@ def build_parser() -> argparse.ArgumentParser:
              " 'incremental' repairs only the changed cones)",
     )
     tables.add_argument(
-        "--sta-engine", default="object",
-        choices=["object", "arena"],
-        help="timing-engine implementation (bit-identical results;"
-             " 'arena' runs the full DPs on flat arrays)",
-    )
-    tables.add_argument(
         "--guard", default="off", choices=["off", "warn", "strict"],
         help="inter-stage invariant checkpoints",
     )
@@ -700,10 +679,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tables.add_argument(
         "--store", default=None, metavar="DIR",
-        help="persistent artifact store: compiled retiming problems,"
-             " timing arenas, and the suite memo are reused across"
-             " invocations and shared with --jobs workers"
-             " (bit-identical tables with and without it)",
+        help="persistent artifact store: compiled retiming problems"
+             " and the suite memo are reused across invocations and"
+             " shared with --jobs workers (bit-identical tables with"
+             " and without it)",
     )
     tables.add_argument(
         "--store-capacity", type=int, default=None, metavar="N",
@@ -744,16 +723,6 @@ def build_parser() -> argparse.ArgumentParser:
     convert.add_argument(
         "--out", default=None, metavar="PATH",
         help="write the converted design as structural Verilog",
-    )
-    convert.add_argument(
-        "--sta-mode", default="incremental",
-        choices=["incremental", "full"],
-        help=argparse.SUPPRESS,
-    )
-    convert.add_argument(
-        "--sta-engine", default="object",
-        choices=["object", "arena"],
-        help=argparse.SUPPRESS,
     )
     convert.set_defaults(func=_cmd_convert)
 
@@ -888,7 +857,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache.add_argument(
         "--namespace", default=None, metavar="NS",
         help="restrict ls/clear to one namespace (e.g. compiled-grar,"
-             " arena, suite-memo, scenario-memo)",
+             " suite-memo, scenario-memo)",
     )
     cache.add_argument(
         "--max-bytes", type=int, default=None, metavar="N",

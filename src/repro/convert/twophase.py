@@ -76,7 +76,6 @@ def convert_to_two_phase(
     clock_margin: float = 1.05,
     model: str = "path",
     sta_mode: str = "incremental",
-    sta_engine: str = "object",
     balance: bool = True,
 ) -> ConvertedDesign:
     """Convert a flop netlist into a legal two-phase latch-based design.
@@ -111,7 +110,7 @@ def convert_to_two_phase(
     try:
         scheme, circuit = prepare_circuit(
             netlist, library, model=model, clock_margin=clock_margin,
-            scheme=scheme, sta_mode=sta_mode, sta_engine=sta_engine,
+            scheme=scheme, sta_mode=sta_mode,
         )
     except ValueError as exc:
         raise ConversionError(

@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Set, Tuple, Union
 from repro import metrics
 from repro.cells.library import Library
 from repro.clocks import ClockScheme, scheme_from_period
-from repro.core.engine import make_timing_engine
 from repro.errors import FlowStageError, stage_scope
 from repro.guard import CheckpointRecord, Guard, GuardPolicy
 from repro.latches.conversion import ConversionReport
@@ -58,6 +57,18 @@ METHODS = (
     "rvl-movable",
     "selective",
 )
+
+
+def check_timing_engine(name: str) -> None:
+    """Reject every timing engine name but ``"object"``.
+
+    :class:`~repro.sta.engine.TimingEngine` is the one engine; the
+    entry points that still take an engine name accept only its name.
+    """
+    if name != "object":
+        raise ValueError(
+            f"unknown STA engine {name!r}; the only engine is 'object'"
+        )
 
 
 @dataclass
@@ -129,15 +140,14 @@ def prepare_circuit(
     their period with a little slack; the conversion borrows it for the
     latch delays).
 
-    ``sta_engine`` selects the timing-engine implementation: the
-    object-graph reference (``"object"``) or the vectorized flat-array
-    arena (``"arena"``) — bit-identical results, different cost.
+    ``sta_engine`` must be ``"object"``, the one timing engine.
 
     ``convert="two-phase"`` routes an external flop netlist through
     the conversion front end (:mod:`repro.convert`) instead: the same
     clock recipe, plus feasibility and phase-legality validation — the
     returned scheme/circuit are bit-identical to the direct path.
     """
+    check_timing_engine(sta_engine)
     if convert is not None:
         if convert != "two-phase":
             raise ValueError(
@@ -148,12 +158,12 @@ def prepare_circuit(
 
         design = convert_to_two_phase(
             netlist, library, scheme=scheme, clock_margin=clock_margin,
-            model=model, sta_mode=sta_mode, sta_engine=sta_engine,
+            model=model, sta_mode=sta_mode,
         )
         return design.scheme, design.circuit
     if scheme is None:
-        engine = make_timing_engine(
-            sta_engine, netlist, library, model=model,
+        engine = TimingEngine(
+            netlist, library, model=model,
             incremental=(sta_mode == "incremental"),
         )
         worst = engine.worst_arrival()
@@ -161,8 +171,7 @@ def prepare_circuit(
             raise ValueError(f"netlist {netlist.name!r} has no timing paths")
         scheme = scheme_from_period(worst * clock_margin)
     circuit = TwoPhaseCircuit(
-        netlist, scheme, library, model=model, sta_mode=sta_mode,
-        sta_engine=sta_engine,
+        netlist, scheme, library, model=model, sta_mode=sta_mode
     )
     return scheme, circuit
 
@@ -190,11 +199,11 @@ def run_flow(
 
     ``store`` scopes the run to an artifact store (an
     :class:`~repro.store.ArtifactStore` or a directory path): compiled
-    retiming problems and arenas are fetched from / landed in it
-    instead of the ambient (process-default) store.  A persistent
-    store shares those compiles across processes and invocations;
-    results are bit-identical either way — the store only changes
-    where the invariant work comes from.
+    retiming problems are fetched from / landed in it instead of the
+    ambient (process-default) store.  A persistent store shares those
+    compiles across processes and invocations; results are
+    bit-identical either way — the store only changes where the
+    invariant work comes from.
 
     ``convert="two-phase"`` treats ``netlist`` as an external flop
     design entering through the conversion front end: the clock is
@@ -217,10 +226,7 @@ def run_flow(
     invalidation on every netlist change (``"full"``, the parity
     oracle) — results are bit-identical, only the cost differs.
 
-    ``sta_engine`` independently selects the engine *implementation*:
-    the object-graph reference (``"object"``, the default and parity
-    oracle) or the vectorized flat-array arena (``"arena"``) — again
-    bit-identical results, different cost.
+    ``sta_engine`` must be ``"object"``, the one timing engine.
 
     ``retime_cache`` enables the compiled-retiming cache and simplex
     warm-starts across an overhead sweep (``False`` recomputes and
@@ -242,19 +248,19 @@ def run_flow(
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    check_timing_engine(sta_engine)
     if store is not None:
         resolved = open_store(store)
         # Re-enter with the store ambient so every cache site below
-        # (compile_retiming in the retimers, compile_arena in the
-        # engines) reads it without threading the handle through.
+        # (compile_retiming in the retimers) reads it without
+        # threading the handle through.
         with use_store(resolved):
             return run_flow(
                 method, netlist, library, overhead, scheme=scheme,
                 model=model, sizing=sizing, solver=solver,
                 rescue_budget_scale=rescue_budget_scale,
                 solver_policy=solver_policy, guard=guard,
-                sta_mode=sta_mode, sta_engine=sta_engine,
-                retime_cache=retime_cache,
+                sta_mode=sta_mode, retime_cache=retime_cache,
                 harden_fraction=harden_fraction, convert=convert,
             )
     started = time.perf_counter()
@@ -277,7 +283,7 @@ def run_flow(
 
             design = convert_to_two_phase(
                 netlist, library, scheme=scheme, model=delay_model,
-                sta_mode=sta_mode, sta_engine=sta_engine,
+                sta_mode=sta_mode,
             )
             scheme = design.scheme
             conversion = design.report
@@ -293,8 +299,7 @@ def run_flow(
 
             if scheme is None:
                 scheme, _ = prepare_circuit(
-                    working, library, model=delay_model,
-                    sta_mode=sta_mode, sta_engine=sta_engine,
+                    working, library, model=delay_model, sta_mode=sta_mode
                 )
             ff_result = ff_retime_min_area(
                 working, library,
@@ -303,7 +308,7 @@ def run_flow(
             working = ff_result.netlist
         scheme, circuit = prepare_circuit(
             working, library, model=delay_model, scheme=scheme,
-            sta_mode=sta_mode, sta_engine=sta_engine,
+            sta_mode=sta_mode,
         )
         sentinel.netlist_valid(working, library, "prepare")
         sentinel.timing_sane(circuit, "prepare")
@@ -469,7 +474,7 @@ def run_flow(
     if delay_model != "path":
         _, circuit = prepare_circuit(
             working, library, model="path", scheme=scheme,
-            sta_mode=sta_mode, sta_engine=sta_engine,
+            sta_mode=sta_mode,
         )
 
     placement = retiming.placement
@@ -698,14 +703,11 @@ def run_methods(
     scheme: Optional[ClockScheme] = None,
     sizing: bool = True,
     sta_mode: str = "incremental",
-    sta_engine: str = "object",
     retime_cache: bool = True,
 ) -> Dict[str, FlowOutcome]:
     """Run several methods under one shared clock scheme."""
     if scheme is None:
-        scheme, _ = prepare_circuit(
-            netlist, library, sta_mode=sta_mode, sta_engine=sta_engine
-        )
+        scheme, _ = prepare_circuit(netlist, library, sta_mode=sta_mode)
     return {
         method: run_flow(
             method,
@@ -715,7 +717,6 @@ def run_methods(
             scheme=scheme,
             sizing=sizing,
             sta_mode=sta_mode,
-            sta_engine=sta_engine,
             retime_cache=retime_cache,
         )
         for method in methods

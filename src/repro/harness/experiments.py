@@ -17,6 +17,7 @@ from repro.circuits import build_benchmark, suite_names
 from repro.clocks import ClockScheme
 from repro.errors import ReproError, stage_scope
 from repro.flows import FlowOutcome, prepare_circuit, run_flow
+from repro.flows.run import check_timing_engine
 from repro.harness.paper import OVERHEAD_LEVELS, PAPER_TABLE1
 from repro.harness.tables import TableResult
 from repro.latches.conversion import flop_resilient_area, original_flop_report
@@ -155,6 +156,7 @@ class ExperimentSuite:
         retime_cache: bool = True,
         store: Union[ArtifactStore, str, None] = None,
     ) -> None:
+        check_timing_engine(sta_engine)
         self.circuit_names = list(circuits or suite_names())
         self.library = library or default_library()
         self.error_rate_cycles = error_rate_cycles
@@ -180,9 +182,9 @@ class ExperimentSuite:
         #: cells, instead of a full JSON rewrite per cell.  1 = write
         #: every time.
         self.checkpoint_every = max(1, int(checkpoint_every))
-        #: artifact store the flows run against (compiled problems and
-        #: arenas); a *persistent* store additionally carries the memo
-        #: as a ``"suite-memo"`` artifact, so suites sharing the store
+        #: artifact store the flows run against (compiled problems); a
+        #: *persistent* store additionally carries the memo as a
+        #: ``"suite-memo"`` artifact, so suites sharing the store
         #: directory resume each other's runs without a ``memo_path``.
         self.store = open_store(store)
         self.failures: List[FailedOutcome] = []
@@ -236,10 +238,7 @@ class ExperimentSuite:
     def scheme(self, name: str) -> ClockScheme:
         """The (memoized) derived clock scheme for ``name``."""
         if name not in self._schemes:
-            scheme, _ = prepare_circuit(
-                self.netlist(name), self.library,
-                sta_engine=self.sta_engine,
-            )
+            scheme, _ = prepare_circuit(self.netlist(name), self.library)
             self._schemes[name] = scheme
         return self._schemes[name]
 
@@ -314,7 +313,6 @@ class ExperimentSuite:
                 guard=self.guard,
                 solver_policy=self.solver_policy,
                 sta_mode=self.sta_mode,
-                sta_engine=self.sta_engine,
                 retime_cache=self.retime_cache,
                 store=self.store,
             )

@@ -152,11 +152,10 @@ class CellTask:
     seeds: Tuple[int, ...] = ()
     sim_backend: str = "compiled"
     sta_mode: str = "incremental"
-    sta_engine: str = "object"
     retime_cache: bool = True
     #: persistent artifact-store directory the worker opens and runs
-    #: under — compiled problems and arenas are shared through it
-    #: across the whole worker fleet (and later invocations).
+    #: under — compiled problems are shared through it across the
+    #: whole worker fleet (and later invocations).
     store_dir: Optional[str] = None
     #: sweep points this task covers (empty = just ``overhead``).
     #: G-RAR tasks ship one sweep per circuit so the worker's compiled
@@ -307,7 +306,6 @@ def plan_cells(
                         seeds=suite.sim_seeds,
                         sim_backend=suite.sim_backend,
                         sta_mode=suite.sta_mode,
-                        sta_engine=suite.sta_engine,
                         retime_cache=suite.retime_cache,
                         store_dir=store_dir,
                         overheads=batch,
@@ -361,7 +359,6 @@ def _run_point(task: CellTask, overhead: float) -> CellResult:
             guard=task.guard,
             solver_policy=task.solver_policy,
             sta_mode=task.sta_mode,
-            sta_engine=task.sta_engine,
             retime_cache=task.retime_cache,
         )
     except ReproError as exc:
@@ -788,7 +785,6 @@ def run_suite_parallel(
     summary: Dict[str, Any] = {
         "jobs": jobs,
         "sim_backend": suite.sim_backend,
-        "sta_engine": suite.sta_engine,
         "sim_cells": len(sim_rates),
         "sim_cycles_per_sec": round(
             sum(sim_rates) / len(sim_rates), 2

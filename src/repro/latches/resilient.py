@@ -21,7 +21,6 @@ from repro.cells.library import Library
 from repro.clocks import ClockScheme
 from repro.latches.placement import HOST, SlavePlacement
 from repro.netlist.netlist import GateType, Netlist
-from repro.core.engine import STA_ENGINES, make_timing_engine
 from repro.sta.delay_models import DelayCalculator
 from repro.sta.engine import NEG_INF, TimingEngine
 
@@ -119,25 +118,17 @@ class TwoPhaseCircuit:
         latch: Optional[LatchCell] = None,
         zero_latch_delays: bool = False,
         sta_mode: str = "incremental",
-        sta_engine: str = "object",
     ) -> None:
         if sta_mode not in ("incremental", "full"):
             raise ValueError(
                 f"unknown sta_mode {sta_mode!r} (use 'incremental' or "
                 f"'full')"
             )
-        if sta_engine not in STA_ENGINES:
-            raise ValueError(
-                f"unknown sta_engine {sta_engine!r}; "
-                f"expected one of {STA_ENGINES}"
-            )
         self.netlist = netlist
         self.scheme = scheme
         self.library = library
         self.sta_mode = sta_mode
-        self.sta_engine = sta_engine
-        self.engine = make_timing_engine(
-            sta_engine,
+        self.engine = TimingEngine(
             netlist,
             library,
             model=model,
@@ -161,6 +152,11 @@ class TwoPhaseCircuit:
         self._source_names = [g.name for g in netlist.sources()]
 
     # -- basic queries -------------------------------------------------------
+
+    @property
+    def sta_engine(self) -> str:
+        """Name of the timing engine: always ``"object"``."""
+        return "object"
 
     @property
     def endpoint_names(self) -> List[str]:

@@ -162,7 +162,7 @@ class ScenarioTask:
     #: how long a chaos-hang corner sleeps (tests shorten it).
     hang_s: float = 3600.0
     #: persistent artifact-store directory the worker's flow runs
-    #: under (compiled problems / arenas shared across the matrix).
+    #: under (compiled problems shared across the matrix).
     store_dir: Optional[str] = None
 
     @property
@@ -364,15 +364,15 @@ def run_scenarios(
     ``error_rate`` plus per-seed rates.
 
     ``store`` attaches an artifact store: workers run their flows
-    under it (compiled problems and arenas shared across the matrix
-    and across invocations), and a *persistent* store additionally
-    carries the memo as a ``"scenario-memo"`` artifact keyed by the
-    run config — a warm rerun resumes from the store with no
-    ``memo_path`` at all.  Reports are byte-identical with or without
-    a store.  Either memo (:class:`~repro.store.SweepMemo`) resumes
-    only a run of the same library, cycles, seeds, overhead and
-    harden fraction; the simulation backend is bit-identical by
-    contract and stays out of that config.
+    under it (compiled problems shared across the matrix and across
+    invocations), and a *persistent* store additionally carries the
+    memo as a ``"scenario-memo"`` artifact keyed by the run config —
+    a warm rerun resumes from the store with no ``memo_path`` at all.
+    Reports are byte-identical with or without a store.  Either memo
+    (:class:`~repro.store.SweepMemo`) resumes only a run of the same
+    library, cycles, seeds, overhead and harden fraction; the
+    simulation backend is bit-identical by contract and stays out of
+    that config.
     """
     if sim_backend not in SIM_BACKENDS:
         raise ValueError(

@@ -1,10 +1,10 @@
 """The error-rate estimator: one call, any number of seeds.
 
 :func:`estimate_error_rate_batched` is the one place that maps a
-backend name to an implementation.  It validates the backend and the
-injection plan, builds the backend's cycle-invariant setup once for
-the whole seed sweep, runs every seed through it, times the run and
-counts its metrics:
+backend name to an implementation.  It validates the backend, the
+cycle count and the injection plan, builds the backend's
+cycle-invariant setup once for the whole seed sweep, runs every seed
+through it, times the run and counts its metrics:
 
 * ``"compiled"`` — the :class:`~repro.sim.kernel.CompiledSimulator`
   compile, run by the lane engine (:func:`repro.sim.vector.simulate`)
@@ -64,6 +64,8 @@ def estimate_error_rate_batched(
             f"unknown simulation backend {backend!r}; "
             f"expected one of {SIM_BACKENDS}"
         )
+    if cycles < 1:
+        raise ValueError(f"cycles must be at least 1, got {cycles}")
     plan = injection or InjectionPlan()
     _check_plan_targets(circuit.netlist, plan, placement)
     started = time.perf_counter()

@@ -902,12 +902,10 @@ class _VectorLanes:
                 )
                 if count
             }
-            final_latch: Dict[str, int] = {}
-            if self.cycles > 0:
-                final_latch = {
-                    key: int(self._state[idx, lane])
-                    for key, idx in state_items
-                }
+            final_latch = {
+                key: int(self._state[idx, lane])
+                for key, idx in state_items
+            }
             for key, arr in self._extra_state.items():
                 final_latch[key] = int(arr[lane])
             reports.append(

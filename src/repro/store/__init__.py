@@ -16,7 +16,6 @@ from repro.atomic_io import (
 from repro.store.fingerprint import (
     ENGINE_VERSION,
     Fingerprint,
-    arena_fingerprint,
     circuit_fingerprint,
     config_fingerprint,
     content_digest,
@@ -46,7 +45,6 @@ __all__ = [
     "STORE_SCHEMA",
     "StoreError",
     "SweepMemo",
-    "arena_fingerprint",
     "atomic_write_bytes",
     "atomic_write_text",
     "circuit_fingerprint",

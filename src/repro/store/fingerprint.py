@@ -1,10 +1,8 @@
 """The canonical fingerprint recipe: one sha256 for every cache key.
 
-Before ``repro.store`` existed, three hand-rolled digests keyed the
-result caches — ``retime.compile`` hashed circuits, ``core.arena``
-hashed netlist/calculator pairs (salted with ``id(library)``, so the
-key was only valid inside one process), and the scenario engine hashed
-simulator end states.  This module replaces all of them with a single
+Before ``repro.store`` existed, hand-rolled digests keyed the result
+caches — ``retime.compile`` hashed circuits and the scenario engine
+hashed simulator end states.  This module replaces them with a single
 recipe:
 
     sha256( kind \\x1f ENGINE_VERSION \\x1f part \\x1f part \\x1f ... )
@@ -31,7 +29,6 @@ from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 __all__ = [
     "ENGINE_VERSION",
     "Fingerprint",
-    "arena_fingerprint",
     "circuit_fingerprint",
     "config_fingerprint",
     "content_digest",
@@ -41,9 +38,9 @@ __all__ = [
     "netlist_fingerprint",
 ]
 
-#: Bumped whenever a change to the retimer, the arena compiler, or the
-#: delay models makes previously-persisted artifacts stale.  Part of
-#: every fingerprint, so a bump is a whole-store invalidation.
+#: Bumped whenever a change to the retimer or the delay models makes
+#: previously-persisted artifacts stale.  Part of every fingerprint,
+#: so a bump is a whole-store invalidation.
 ENGINE_VERSION = "1"
 
 _SEP = b"\x1f"
@@ -86,9 +83,8 @@ def feed_netlist(fp: Fingerprint, netlist: Any) -> Fingerprint:
     """Feed a netlist by value: name plus every gate's identity.
 
     Covers gate names, types, cell bindings, and fanin order — the
-    inputs every compiled representation (retiming skeletons, arena
-    arrays) derives from.  Copies of a netlist collide; any resize or
-    rewire changes the digest.
+    inputs a compiled retiming skeleton derives from.  Copies of a
+    netlist collide; any resize or rewire changes the digest.
     """
     fp.feed("netlist", netlist.name)
     for gate in netlist:
@@ -113,10 +109,9 @@ _LIBRARY_MEMO_MAX = 16
 def library_fingerprint(library: Any) -> str:
     """Content hash of a cell library.
 
-    Replaces the arena cache's ``id(library)`` salt: hashing the cells
-    themselves (frozen dataclasses with value reprs) makes the digest
-    valid *across* processes and runs — the property the on-disk store
-    needs.
+    Hashes the cells themselves (frozen dataclasses with value reprs),
+    never the library's ``id``, so the digest is valid *across*
+    processes and runs — the property the on-disk store needs.
     """
     if library is None:
         return content_digest("library/none")
@@ -164,38 +159,13 @@ def circuit_fingerprint(circuit: Any, conflict_policy: str = "error") -> str:
     return fp.hexdigest()
 
 
-def arena_fingerprint(netlist: Any, calc: Any) -> str:
-    """Key of a compiled flat-array arena (``"arena"`` namespace).
-
-    Covers the calculator class, its load-model parameters, the
-    library *content* (not its ``id`` — arenas persist across
-    processes now), any fixed per-cell delay table, and the netlist by
-    value.
-    """
-    fp = Fingerprint("arena")
-    fp.feed(netlist.name, type(calc).__name__)
-    lm = calc.load_model
-    fp.feed(
-        repr(lm.wire_cap_per_fanout),
-        repr(lm.output_pin_cap),
-        repr(lm.source_slew),
-    )
-    fp.feed("library", library_fingerprint(getattr(calc, "library", None)))
-    delays = getattr(calc, "delays", None)
-    if isinstance(delays, Mapping):
-        for name in sorted(delays):
-            fp.feed(name, repr(delays[name]))
-    feed_netlist(fp, netlist)
-    return fp.hexdigest()
-
-
 def config_fingerprint(kind: str, config: Mapping[str, Any]) -> str:
     """Key of a memo namespace entry: a sorted-items config hash.
 
     The suite and scenario memos persist one artifact per run
     *configuration*; this derives that artifact's store key from the
     knobs that change results (anything bit-identical by contract —
-    backends, STA engines — stays out of the config by the caller's
+    backends, STA modes — stays out of the config by the caller's
     choice).
     """
     fp = Fingerprint(kind)

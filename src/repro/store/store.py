@@ -3,14 +3,12 @@
 :class:`ArtifactStore` fronts an optional on-disk CAS directory with a
 per-namespace in-memory LRU.  Keys are the canonical fingerprints of
 :mod:`repro.store.fingerprint`; values are arbitrary Python objects
-(compiled retiming problems, netlist arenas, memo payloads).  The
-namespace map:
+(compiled retiming problems, memo payloads).  The namespace map:
 
 ===============  ====================================================
 namespace        legacy cache it replaced
 ===============  ====================================================
 compiled-grar    ``retime.compile``'s module-level LRU
-arena            ``core.arena``'s module-level LRU
 suite-memo       the :class:`ExperimentSuite` resume memo
 scenario-memo    the scenario engine's resume memo
 ===============  ====================================================
@@ -40,13 +38,13 @@ bytes_written,corrupt}``.
 Ambient plumbing
 ----------------
 
-Call sites (``compile_retiming``, ``compile_arena``) read the ambient
-store via :func:`get_store`.  The process default is a memory-only
-store — exactly the legacy per-process LRU behavior; the CLI's
-``--store DIR`` swaps in a persistent one via
-:func:`set_default_store`, and scoped overrides (worker processes,
-``run_flow(store=...)``) use the :func:`use_store` context manager,
-which is a :class:`contextvars.ContextVar` underneath, mirroring
+The cache site (``compile_retiming``) reads the ambient store via
+:func:`get_store`.  The process default is a memory-only store —
+exactly the legacy per-process LRU behavior; the CLI's ``--store
+DIR`` swaps in a persistent one via :func:`set_default_store`, and
+scoped overrides (worker processes, ``run_flow(store=...)``) use the
+:func:`use_store` context manager, which is a
+:class:`contextvars.ContextVar` underneath, mirroring
 ``repro.metrics``.
 """
 
@@ -97,7 +95,7 @@ _QUARANTINE_DIR = "quarantine"
 _STAMP_NAME = "store.json"
 
 #: Default per-namespace LRU capacity — the 8 entries the legacy
-#: ``retime.compile`` and ``core.arena`` caches kept.
+#: ``retime.compile`` cache kept.
 DEFAULT_CAPACITY = 8
 
 _MISS = object()

@@ -7,6 +7,7 @@ from repro.circuits import build_benchmark
 from repro.circuits.fig4 import fig4_circuit, fig4_netlist, fig4_scheme
 from repro.circuits.generator import CloudSpec, generate_circuit
 from repro.flows import prepare_circuit
+from repro.latches import SlavePlacement
 from repro.netlist import NetlistBuilder
 
 
@@ -70,3 +71,12 @@ def small_prepared(small_netlist, library):
 @pytest.fixture(scope="session")
 def s1196(library):
     return build_benchmark("s1196", library)
+
+
+@pytest.fixture()
+def s1196_initial(s1196, library):
+    """(circuit, placement, edl): a fresh s1196 circuit at the initial
+    placement with every endpoint error-detecting."""
+    _, circuit = prepare_circuit(s1196.copy(), library)
+    edl = {g.name for g in circuit.netlist.endpoints()}
+    return circuit, SlavePlacement.initial(), edl

@@ -1,9 +1,11 @@
 """Tests for the command-line interface."""
 
+import json
 import os
 
 import pytest
 
+from repro import metrics
 from repro.cli import build_parser, main
 
 S27 = os.path.join(os.path.dirname(__file__), "data", "s27.bench")
@@ -79,6 +81,38 @@ class TestCommands:
         ) == 0
         out = capsys.readouterr().out
         assert "error rate" in out
+
+    def test_non_positive_cycles_is_usage_error(self, capsys):
+        """run, tables and scenarios reject --cycles < 1 before any
+        flow runs, as they do a negative --overhead."""
+        collector = metrics.MetricsCollector()
+        with metrics.collect_into(collector):
+            for argv in (
+                ["run", "s1196", "--method", "base", "--error-rate",
+                 "--cycles", "0"],
+                ["tables", "s1196", "--tables", "table viii",
+                 "--cycles", "0"],
+                ["scenarios", "s1196", "--cycles", "-5"],
+            ):
+                assert main(argv) == 2
+        assert "flow.runs" not in collector.counters
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("--cycles must be at least 1") == 3
+
+    def test_tables_bench_out_counts_the_memo_load(self, tmp_path):
+        """A warm --store rerun resumes every cell from the suite memo,
+        and its bench artifact shows where the results came from."""
+        store = str(tmp_path / "cas")
+        bench = str(tmp_path / "BENCH_warm.json")
+        argv = ["tables", "s1196", "--tables", "table ix",
+                "--cycles", "16", "--store", store]
+        assert main(argv) == 0
+        assert main(argv + ["--bench-out", bench]) == 0
+        with open(bench, encoding="utf-8") as handle:
+            counters = json.load(handle)["counters"]
+        assert counters["store.suite-memo.disk_hits"] == 1
+        assert not counters.get("flow.runs")
 
     def test_tables_filtered(self, capsys):
         assert main(

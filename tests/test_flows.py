@@ -28,6 +28,28 @@ class TestRunFlow:
         with pytest.raises(ValueError):
             run_flow("yolo", netlist, library, 1.0, scheme=scheme)
 
+    def test_only_the_object_engine(self, flow_setup):
+        """The three entry points that keep ``sta_engine`` reject any
+        engine but ``"object"``; the circuit reports that constant."""
+        from repro.harness import ExperimentSuite
+
+        netlist, library, scheme = flow_setup
+        with pytest.raises(ValueError, match="STA engine"):
+            prepare_circuit(netlist, library, sta_engine="arena")
+        with pytest.raises(ValueError, match="STA engine"):
+            run_flow(
+                "base", netlist, library, 1.0, scheme=scheme,
+                sta_engine="arena",
+            )
+        with pytest.raises(ValueError, match="STA engine"):
+            ExperimentSuite(
+                circuits=["s1196"], library=library, sta_engine="arena"
+            )
+        _, circuit = prepare_circuit(netlist, library, scheme=scheme)
+        assert circuit.sta_engine == "object"
+        with pytest.raises(AttributeError):
+            circuit.sta_engine = "object"
+
     def test_all_methods_complete(self, all_outcomes):
         for method, outcome in all_outcomes.items():
             assert outcome.total_area > 0, method

@@ -10,7 +10,7 @@ from repro.circuits import (
     generate_circuit,
     suite_names,
 )
-from repro.circuits.suite import SMALL_SUITE, SUITE_ORDER
+from repro.circuits.suite import SMALL_SUITE, SUITE_ORDER, scaled_profile
 from repro.netlist import validate
 from repro.netlist.validate import dangling_gates
 
@@ -138,3 +138,27 @@ class TestSuite:
         report = original_flop_report(s1196, scheme, library)
         paper_nce = BENCHMARK_PROFILES["s1196"].paper_nce
         assert abs(report.n_near_critical - paper_nce) <= 3
+
+
+class TestScaledBenchmarks:
+    def test_scaled_profile_counts(self):
+        base = BENCHMARK_PROFILES["s1196"]
+        scaled = scaled_profile(base, 10)
+        assert scaled.name == "s1196x10"
+        assert scaled.n_gates == base.n_gates * 10
+        assert scaled.n_flops == base.n_flops * 10
+        assert scaled.depth == base.depth
+
+    def test_scaled_build_is_deterministic(self, library):
+        a = build_benchmark("s1196x2", library)
+        b = build_benchmark("s1196x2", library)
+        assert sorted(a.gates) == sorted(b.gates)
+        assert len(a.gates) > len(build_benchmark("s1196", library).gates)
+
+    def test_bad_scaled_names(self, library):
+        with pytest.raises(KeyError):
+            build_benchmark("nope_x10", library)
+        with pytest.raises(ValueError, match="out of range"):
+            build_benchmark("s1196x1", library)
+        with pytest.raises(ValueError, match="out of range"):
+            build_benchmark("s1196x101", library)

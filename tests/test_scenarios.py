@@ -45,7 +45,7 @@ from repro.scenarios.engine import (
     run_scenarios,
     scenario_seed,
 )
-from repro.sim import estimate_error_rate
+from repro.sim import estimate_error_rate, estimate_error_rate_batched
 
 LIBRARY = default_library()
 
@@ -204,6 +204,52 @@ class TestInjectionPlan:
                 circuit, result.placement, edl, cycles=8, injection=plan
             )
         assert "no_such_net" in str(info.value)
+
+
+class TestLatchTargetValidation:
+    """The ``latch:`` SEU-target validation (regression).
+
+    Before the fix, any target starting with ``latch:`` was accepted
+    unchecked, so a typo'd key silently mutated phantom state — these
+    tests fail if the ``target not in latch_keys`` check is reverted
+    to the old ``startswith("latch:")`` bypass.
+    """
+
+    def test_bogus_latch_key_rejected(self, s1196_initial):
+        circuit, placement, edl = s1196_initial
+        plan = InjectionPlan(
+            label="typo",
+            seu_flips={0: ("latch:no_such_driver:no_such_sink",)},
+        )
+        with pytest.raises(SimulationError) as err:
+            estimate_error_rate(
+                circuit, placement, edl, cycles=2, injection=plan
+            )
+        assert "unknown targets" in str(err.value)
+        payload = err.value.payload
+        assert payload["unknown_targets"] == [
+            "latch:no_such_driver:no_such_sink"
+        ]
+
+    def test_real_latch_keys_accepted(self, s1196_initial):
+        circuit, placement, edl = s1196_initial
+        keys = latch_state_keys(circuit.netlist, placement)
+        assert keys, "expected at least one latch edge"
+        plan = InjectionPlan(label="real", seu_flips={0: (keys[0],)})
+        report = estimate_error_rate(
+            circuit, placement, edl, cycles=2, injection=plan
+        )
+        assert report.cycles == 2
+
+    def test_batched_validates_too(self, s1196_initial):
+        circuit, placement, edl = s1196_initial
+        plan = InjectionPlan(
+            label="typo", seu_flips={0: ("latch:bogus:key",)}
+        )
+        with pytest.raises(SimulationError):
+            estimate_error_rate_batched(
+                circuit, placement, edl, cycles=2, seeds=[1], injection=plan
+            )
 
 
 def _parity_case(circuit, seed, cycles=48):

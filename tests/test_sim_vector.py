@@ -9,7 +9,8 @@ tests are that promise's acceptance gate: random circuits ×
 placements × injection plans × lane counts × lane blocks (a single
 lane and a ragged final block included) × gate stages against the
 event backend.  The rest of the file pins the estimator's dispatch,
-its counters, and how the C helper is found, built and refused.
+its counters, that a batched call reports exactly what one call per
+seed does, and how the C helper is found, built and refused.
 """
 
 import functools
@@ -30,7 +31,7 @@ from repro.flows import prepare_circuit
 from repro.latches import SlavePlacement
 from repro.netlist import NetlistBuilder
 from repro.retime import grar_retime
-from repro.scenarios.injectors import build_injection_plan
+from repro.scenarios.injectors import InjectionPlan, build_injection_plan
 from repro.sim import (
     SIM_BACKENDS,
     CompiledSimulator,
@@ -38,7 +39,7 @@ from repro.sim import (
     estimate_error_rate,
     estimate_error_rate_batched,
 )
-from repro.sim import _native, vector
+from repro.sim import _native, batch, vector
 
 LIBRARY = default_library()
 CYCLES = 12
@@ -245,6 +246,25 @@ class TestVectorDispatch:
                 circuit, placement, set(edl), cycles=1, backend="vector"
             )
 
+    @pytest.mark.parametrize("cycles", [0, -5])
+    @pytest.mark.parametrize("backend", SIM_BACKENDS)
+    def test_non_positive_cycles_rejected(self, backend, cycles):
+        """No report over zero or negative cycles, on either backend,
+        and nothing is compiled or counted first."""
+        circuit, _, placement, edl = make_case(9)
+        collector = metrics.MetricsCollector()
+        with metrics.collect_into(collector), mock.patch.object(
+            batch, "CompiledSimulator"
+        ) as compile_, mock.patch.object(batch, "_CycleLoop") as loop:
+            with pytest.raises(ValueError, match="cycles must be"):
+                estimate_error_rate_batched(
+                    circuit, placement, set(edl), cycles=cycles,
+                    seeds=(1, 2), backend=backend,
+                )
+        compile_.assert_not_called()
+        loop.assert_not_called()
+        assert collector.counters == {}
+
     def test_counter_contract(self):
         """Every estimator call counts one run and cycles × lanes
         lane-cycles, on both backends and through both entry points;
@@ -302,6 +322,107 @@ class TestVectorDispatch:
         object.__setattr__(circuit.netlist["g1"], "fanins", tuple(names))
         with pytest.raises(NetlistError, match="'g1': 11 inputs"):
             CompiledSimulator(circuit, SlavePlacement.initial())
+
+
+class TestBatchedSimulation:
+    """One batched call == one single-seed call per seed, in order."""
+
+    def test_batched_matches_sequential(self, s1196_initial):
+        circuit, placement, edl = s1196_initial
+        seeds = [3, 14, 2017]
+        sequential = [
+            estimate_error_rate(
+                circuit, placement, edl, cycles=24, seed=s
+            )
+            for s in seeds
+        ]
+        batched = estimate_error_rate_batched(
+            circuit, placement, edl, cycles=24, seeds=seeds
+        )
+        assert batched == sequential
+
+    def test_batched_event_backend(self, s1196_initial):
+        circuit, placement, edl = s1196_initial
+        seeds = [1, 2]
+        sequential = [
+            estimate_error_rate(
+                circuit, placement, edl, cycles=8, seed=s, backend="event"
+            )
+            for s in seeds
+        ]
+        batched = estimate_error_rate_batched(
+            circuit, placement, edl, cycles=8, seeds=seeds, backend="event"
+        )
+        assert batched == sequential
+
+    def test_batched_with_injection(self, s1196_initial):
+        circuit, placement, edl = s1196_initial
+        flop = next(g.name for g in circuit.netlist.flops())
+        comb = next(g.name for g in circuit.netlist.comb_gates())
+        plan = InjectionPlan(
+            label="corner",
+            delay_scale={comb: 1.2},
+            seu_flips={3: (flop,), 9: (flop,)},
+        )
+        seeds = [5, 6]
+        sequential = [
+            estimate_error_rate(
+                circuit, placement, edl, cycles=16, seed=s, injection=plan
+            )
+            for s in seeds
+        ]
+        batched = estimate_error_rate_batched(
+            circuit, placement, edl, cycles=16, seeds=seeds, injection=plan
+        )
+        assert batched == sequential
+
+    def test_batched_metrics(self, s1196_initial):
+        circuit, placement, edl = s1196_initial
+        collector = metrics.MetricsCollector()
+        with metrics.collect_into(collector):
+            estimate_error_rate_batched(
+                circuit, placement, edl, cycles=4, seeds=[1, 2, 3]
+            )
+        assert collector.counters["sim.batched.runs"] == 1
+        assert collector.counters["sim.batched.lanes"] == 3
+        assert collector.counters["sim.cycles"] == 12
+        assert collector.values["sim.wall_s"].count == 1
+
+    @given(
+        st.integers(min_value=1, max_value=10**6),
+        st.floats(min_value=0.8, max_value=1.5),
+    )
+    @SLOW
+    def test_batched_reports_bit_identical(self, seed, scale):
+        spec = CloudSpec(
+            name=f"batch{seed}",
+            seed=seed,
+            n_inputs=4,
+            n_outputs=3,
+            n_flops=6,
+            n_gates=70,
+            depth=5,
+            critical_fraction=0.3,
+        )
+        netlist = generate_circuit(spec, LIBRARY)
+        _, circuit = prepare_circuit(netlist, LIBRARY)
+        placement = SlavePlacement.initial()
+        edl = {g.name for g in circuit.netlist.endpoints()}
+        comb = next(g.name for g in circuit.netlist.comb_gates())
+        plan = InjectionPlan(
+            label=f"corner{seed}", delay_scale={comb: scale}
+        )
+        seeds = [seed % 97, seed % 89 + 1]
+        sequential = [
+            estimate_error_rate(
+                circuit, placement, edl, cycles=6, seed=s, injection=plan
+            )
+            for s in seeds
+        ]
+        batched = estimate_error_rate_batched(
+            circuit, placement, edl, cycles=6, seeds=seeds, injection=plan
+        )
+        assert batched == sequential
 
 
 class TestNativeHelper:

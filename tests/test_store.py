@@ -37,7 +37,6 @@ from repro.store import (
     ArtifactStore,
     Fingerprint,
     StoreError,
-    arena_fingerprint,
     atomic_write_text,
     circuit_fingerprint,
     config_fingerprint,
@@ -115,14 +114,6 @@ class TestFingerprint:
         assert circuit_fingerprint(circuit, "error") != circuit_fingerprint(
             circuit, "ignore"
         )
-
-    def test_arena_fingerprint_stable(self, tiny_netlist):
-        from repro.sta.engine import TimingEngine
-
-        engine = TimingEngine(tiny_netlist, LIBRARY)
-        a = arena_fingerprint(tiny_netlist, engine.calculator)
-        b = arena_fingerprint(tiny_netlist.copy(), engine.calculator)
-        assert a == b
 
     def test_config_fingerprint_order_independent(self):
         a = config_fingerprint("k", {"x": 1, "y": 2})

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cells.cell import Cell, CombCell, FlipFlopCell, LatchCell, SequentialCell
 
@@ -27,18 +27,47 @@ class LatchGroup(Enum):
 
 @dataclass
 class Library:
-    """A named collection of cells with convenience queries."""
+    """A named collection of cells with convenience queries.
+
+    Every combinational cell is filed, as it is added, under its
+    ``(base_name, vt)`` and its ``(function, n_inputs, vt)`` key, each
+    list sorted by drive with ties in insertion order.  The drive, Vt
+    and function queries answer from these two indexes instead of
+    scanning ``cells``, so :meth:`add` must be the only code that
+    writes ``cells``; cells given to the constructor go through it too.
+    """
 
     name: str
     cells: Dict[str, Cell] = field(default_factory=dict)
     #: Optional latch-group tagging used by the virtual-library flow.
     latch_groups: Dict[str, LatchGroup] = field(default_factory=dict)
+    _by_base: Dict[Tuple[str, str], List[CombCell]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _by_function: Dict[Tuple[str, int, str], List[CombCell]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        given, self.cells = self.cells, {}
+        for cell in given.values():
+            self.add(cell)
 
     def add(self, cell: Cell, group: Optional[LatchGroup] = None) -> None:
         """Register ``cell``; optionally tag its virtual-library group."""
         if cell.name in self.cells:
             raise ValueError(f"duplicate cell name {cell.name!r}")
         self.cells[cell.name] = cell
+        if isinstance(cell, CombCell):
+            arity = len(cell.inputs)
+            for index, key in (
+                (self._by_base, (cell.base_name, cell.vt)),
+                (self._by_function, (cell.function, arity, cell.vt)),
+            ):
+                filed = index.setdefault(key, [])
+                filed.append(cell)
+                # Stable: ties in drive keep insertion order.
+                filed.sort(key=lambda c: c.drive)
         if group is not None:
             self.latch_groups[cell.name] = group
 
@@ -72,27 +101,20 @@ class Library:
         """Virtual-library group of a latch (NORMAL by default)."""
         return self.latch_groups.get(name, LatchGroup.NORMAL)
 
-    def latches_in_group(self, group: LatchGroup) -> List[LatchCell]:
-        """Latches tagged with ``group``."""
-        return [
-            cell
-            for cell in self.latches()
-            if self.group_of(cell.name) is group
-        ]
+    def _variants(self, cell: CombCell, vt: str) -> Sequence[CombCell]:
+        """The filed drive ladder of ``cell``'s base at ``vt``.
+
+        The index's own list: callers copy it before handing it out.
+        """
+        return self._by_base.get((cell.base_name, vt), ())
 
     def drive_variants(self, cell: CombCell) -> List[CombCell]:
         """Drive strengths of ``cell``'s base at its Vt, weakest first."""
-        variants = [
-            c
-            for c in self.comb_cells()
-            if c.base_name == cell.base_name and c.vt == cell.vt
-        ]
-        return sorted(variants, key=lambda c: c.drive)
+        return list(self._variants(cell, cell.vt))
 
     def next_drive_up(self, cell: CombCell) -> Optional[CombCell]:
         """The next stronger variant of ``cell``, or None at the top."""
-        variants = self.drive_variants(cell)
-        for candidate in variants:
+        for candidate in self._variants(cell, cell.vt):
             if candidate.drive > cell.drive:
                 return candidate
         return None
@@ -101,12 +123,8 @@ class Library:
         """Same base function and drive at a different Vt flavour."""
         if cell.vt == vt:
             return cell
-        for candidate in self.comb_cells():
-            if (
-                candidate.base_name == cell.base_name
-                and candidate.drive == cell.drive
-                and candidate.vt == vt
-            ):
+        for candidate in self._variants(cell, vt):
+            if candidate.drive == cell.drive:
                 return candidate
         return None
 
@@ -118,15 +136,13 @@ class Library:
         Technology mapping targets standard-Vt cells; the sizing
         engine swaps individual instances to LVT afterwards.
         """
+        return list(self._by_function.get((function, n_inputs, vt), ()))
+
+    def input_widths(self, function: str) -> List[int]:
+        """Input counts some cell of ``function`` has, widest first."""
         return sorted(
-            (
-                c
-                for c in self.comb_cells()
-                if c.function == function
-                and len(c.inputs) == n_inputs
-                and c.vt == vt
-            ),
-            key=lambda c: c.drive,
+            {n for f, n, _ in self._by_function if f == function},
+            reverse=True,
         )
 
     def pick_comb(
@@ -187,18 +203,6 @@ class Library:
             "latches": len(self.latches()),
             "flip_flops": len(self.flip_flops()),
         }
-
-    def merged_with(self, other: "Library", name: str) -> "Library":
-        """A new library containing this library's cells plus ``other``'s.
-
-        Cells in ``other`` shadow same-named cells here.
-        """
-        merged = Library(name=name)
-        merged.cells.update(self.cells)
-        merged.cells.update(other.cells)
-        merged.latch_groups.update(self.latch_groups)
-        merged.latch_groups.update(other.latch_groups)
-        return merged
 
     @staticmethod
     def from_cells(name: str, cells: Iterable[Cell]) -> "Library":

@@ -71,8 +71,7 @@ def build_virtual_library(
         raise ValueError("overhead must be non-negative")
     normal = base.default_latch()
     vname = f"{base.name}_vl"
-    vlib = Library(name=vname)
-    vlib.cells.update(base.cells)
+    vlib = Library.from_cells(vname, base.cells.values())
     vlib.latch_groups.update(base.latch_groups)
 
     non_edl = replace(

@@ -2,26 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
+from repro.cells.cell import FUNCTIONS
 from repro.cells.library import Library
 from repro.netlist.netlist import Gate, GateType, Netlist
-
-#: Generic function -> candidate base-cell names (tried in order).
-_GENERIC_CELLS: Dict[str, Sequence[str]] = {
-    "BUF": ("BUF",),
-    "NOT": ("INV",),
-    "INV": ("INV",),
-    "AND": ("AND2", "NAND2"),
-    "NAND": ("NAND2", "NAND3"),
-    "OR": ("OR2", "NOR2"),
-    "NOR": ("NOR2", "NOR3"),
-    "XOR": ("XOR2",),
-    "XNOR": ("XNOR2",),
-    "AOI21": ("AOI21",),
-    "OAI21": ("OAI21",),
-    "MUX2": ("MUX2",),
-}
 
 
 class NetlistBuilder:
@@ -85,7 +70,7 @@ class NetlistBuilder:
         function = function.upper()
         if function == "NOT":
             function = "INV"
-        if function not in _GENERIC_CELLS:
+        if function not in FUNCTIONS:
             raise ValueError(f"unsupported generic function {function!r}")
         fanins = list(fanins)
         if function in ("BUF", "INV") and len(fanins) != 1:
@@ -106,41 +91,7 @@ class NetlistBuilder:
     # -- internals ------------------------------------------------------
 
     def _pick(self, function: str, n_inputs: int, drive: int) -> str:
-        generic = {
-            "AND": "AND",
-            "NAND": "NAND",
-            "OR": "OR",
-            "NOR": "NOR",
-            "XOR": "XOR",
-            "XNOR": "XNOR",
-            "INV": "INV",
-            "BUF": "BUF",
-            "AOI21": "AOI21",
-            "OAI21": "OAI21",
-            "MUX2": "MUX2",
-        }[function]
-        cells = self.library.comb_by_function(generic, n_inputs)
-        if not cells:
-            raise KeyError(
-                f"no {function} cell with {n_inputs} inputs in "
-                f"{self.library.name!r}"
-            )
-        for cell in cells:
-            if cell.drive == drive:
-                return cell.name
-        return cells[0].name
-
-    def _widths(self, function: str) -> Sequence[int]:
-        """Available input widths for ``function``, widest first."""
-        widths = sorted(
-            {
-                len(c.inputs)
-                for c in self.library.comb_cells()
-                if c.function == function
-            },
-            reverse=True,
-        )
-        return widths
+        return self.library.pick_comb(function, n_inputs, drive).name
 
     def _tree_gate(
         self, name: str, function: str, fanins: Sequence[str], drive: int
@@ -154,7 +105,7 @@ class NetlistBuilder:
         inner = {"NAND": "AND", "NOR": "OR", "XNOR": "XOR"}.get(
             function, function
         )
-        top_widths = self._widths(top)
+        top_widths = self.library.input_widths(top)
         if not top_widths:
             raise KeyError(f"library has no {top} cell at any width")
         max_top = max(top_widths)

@@ -1,10 +1,17 @@
 """Tests for the library container and the default-library builder."""
 
+import pickle
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cells import (
+    CombCell,
+    DelayModel,
+    LatchCell,
     LatchGroup,
     Library,
+    TimingArc,
     build_virtual_library,
     default_library,
 )
@@ -15,6 +22,8 @@ from repro.cells.builder import (
     _COMB_SPECS,
 )
 from repro.clocks import scheme_from_period
+from repro.synth.recovery import recover_area
+from repro.synth.sizing import speed_paths
 
 
 class TestLibraryQueries:
@@ -79,12 +88,6 @@ class TestLibraryQueries:
         assert stats["latches"] == 2
         assert stats["flip_flops"] == 2
         assert stats["combinational"] == stats["cells"] - 4
-
-    def test_merged_with(self, library):
-        other = Library("other")
-        other.add(library["INV_X1"])
-        merged = library.merged_with(other, "merged")
-        assert len(merged) == len(library)
 
     def test_from_cells(self, library):
         lib = Library.from_cells("sub", [library["INV_X1"], library["BUF_X1"]])
@@ -199,3 +202,261 @@ class TestVirtualLibrary:
         assert vl.group_area(LatchGroup.NON_EDL) == pytest.approx(
             vl.group_area(LatchGroup.NORMAL)
         )
+
+
+# -- the variant index against a linear scan ------------------------------
+#
+# The oracle is the scan every query made before the index existed:
+# filter every combinational cell, then sort stably by drive.
+
+
+def _scan(library):
+    return [c for c in library.cells.values() if isinstance(c, CombCell)]
+
+
+def _oracle_drive_variants(library, cell):
+    variants = [
+        c
+        for c in _scan(library)
+        if c.base_name == cell.base_name and c.vt == cell.vt
+    ]
+    return sorted(variants, key=lambda c: c.drive)
+
+
+def _oracle_next_drive_up(library, cell):
+    for candidate in _oracle_drive_variants(library, cell):
+        if candidate.drive > cell.drive:
+            return candidate
+    return None
+
+
+def _oracle_vt_variant(library, cell, vt):
+    if cell.vt == vt:
+        return cell
+    for candidate in _scan(library):
+        if (
+            candidate.base_name == cell.base_name
+            and candidate.drive == cell.drive
+            and candidate.vt == vt
+        ):
+            return candidate
+    return None
+
+
+def _oracle_comb_by_function(library, function, n_inputs, vt="svt"):
+    return sorted(
+        (
+            c
+            for c in _scan(library)
+            if c.function == function
+            and len(c.inputs) == n_inputs
+            and c.vt == vt
+        ),
+        key=lambda c: c.drive,
+    )
+
+
+def _oracle_pick_comb(library, function, n_inputs, drive):
+    candidates = _oracle_comb_by_function(library, function, n_inputs)
+    if not candidates:
+        return None
+    for cell in candidates:
+        if cell.drive == drive:
+            return cell
+    return candidates[0]
+
+
+def _oracle_input_widths(library, function):
+    return sorted(
+        {len(c.inputs) for c in _scan(library) if c.function == function},
+        reverse=True,
+    )
+
+
+_SHAPES = (
+    ("INV", 1),
+    ("BUF", 1),
+    ("NAND", 2),
+    ("NAND", 3),
+    ("XOR", 2),
+    ("AOI21", 3),
+)
+_DRIVES = (1, 2, 4, 8)
+_VTS = ("svt", "lvt")
+#: Plain bases plus ones that already carry a suffix-like tail, so
+#: ``base_name`` strips only the last ``_X`` and the ``_LVT`` under it.
+_BASES = st.text(alphabet="AB", min_size=1, max_size=2) | st.sampled_from(
+    ["NAND2", "A_X", "A_X1", "B_LVT", "_X", "_LVT"]
+)
+
+
+def _comb(name, shape, drive, vt):
+    function, n_inputs = shape
+    pins = ("A", "B", "C")[:n_inputs]
+    model = DelayModel(intrinsic=0.01, resistance=0.1 / drive)
+    return CombCell(
+        name=name,
+        area=float(drive),
+        function=function,
+        inputs=pins,
+        arcs={pin: TimingArc(pin, model, model) for pin in pins},
+        drive=drive,
+        vt=vt,
+    )
+
+
+@st.composite
+def _families(draw):
+    """The cells of one base: some Vts (maybe LVT only), some drives
+    (maybe with steps missing), each name with or without its
+    ``_LVT``/``_X<n>`` suffixes, and maybe a twin that shares a
+    ``(base, drive, vt)`` under another name."""
+    base = draw(_BASES)
+    shape = draw(st.sampled_from(_SHAPES))
+    vts = draw(st.sets(st.sampled_from(_VTS), min_size=1))
+    drives = draw(st.sets(st.sampled_from(_DRIVES), min_size=1))
+    cells = []
+    for vt in sorted(vts):
+        for drive in sorted(drives):
+            tags = draw(st.lists(st.booleans(), min_size=2, max_size=2))
+            copies = 2 if draw(st.integers(0, 3)) == 0 else 1
+            for copy in range(copies):
+                lvt_tag, x_tag = tags[0] != bool(copy), tags[1]
+                name = (
+                    base
+                    + ("_LVT" if lvt_tag else "")
+                    + (f"_X{drive}" if x_tag else "")
+                )
+                cells.append(_comb(name, shape, drive, vt))
+    return cells
+
+
+@st.composite
+def _generated(draw):
+    """(cells in insertion order, how many go in before the first query,
+    probe cells that are not in the library)."""
+    families = draw(st.lists(_families(), min_size=1, max_size=5))
+    cells, names = [], set()
+    for cell in draw(st.permutations([c for f in families for c in f])):
+        if cell.name not in names:
+            names.add(cell.name)
+            cells.append(cell)
+    split = draw(st.integers(0, len(cells)))
+    strangers = draw(st.lists(_families(), max_size=2))
+    return cells, split, [c for f in strangers for c in f]
+
+
+def _same(got, want):
+    assert len(got) == len(want)
+    assert all(g is w for g, w in zip(got, want))
+
+
+def _assert_matches_scan(library, probes):
+    for cell in probes:
+        library.drive_variants(cell).clear()  # every call gets a fresh list
+        _same(
+            library.drive_variants(cell),
+            _oracle_drive_variants(library, cell),
+        )
+        assert library.next_drive_up(cell) is _oracle_next_drive_up(
+            library, cell
+        )
+        for vt in _VTS:
+            assert library.vt_variant(cell, vt) is _oracle_vt_variant(
+                library, cell, vt
+            )
+    for function, n_inputs in _SHAPES + (("MUX2", 3),):
+        for vt in _VTS:
+            library.comb_by_function(function, n_inputs, vt).clear()
+            _same(
+                library.comb_by_function(function, n_inputs, vt),
+                _oracle_comb_by_function(library, function, n_inputs, vt),
+            )
+        for drive in _DRIVES + (16,):
+            want = _oracle_pick_comb(library, function, n_inputs, drive)
+            if want is None:
+                with pytest.raises(KeyError):
+                    library.pick_comb(function, n_inputs, drive)
+            else:
+                assert library.pick_comb(function, n_inputs, drive) is want
+        assert library.input_widths(function) == _oracle_input_widths(
+            library, function
+        )
+
+
+class TestVariantIndex:
+    @settings(max_examples=80, deadline=None)
+    @given(_generated())
+    @example(  # twins: two svt names share base T at drive 2
+        (
+            [
+                _comb("T_LVT", ("INV", 1), 2, "lvt"),
+                _comb("T_X2", ("INV", 1), 2, "svt"),
+                _comb("T_LVT_X2", ("INV", 1), 2, "svt"),
+            ],
+            1,
+            [],
+        )
+    )
+    def test_queries_match_a_linear_scan(self, generated):
+        cells, split, strangers = generated
+        probes = cells + strangers
+        library = Library("gen")
+        library.add(LatchCell(name="LATCH_X1", area=1.0))
+        for cell in cells[:split]:
+            library.add(cell)
+        _assert_matches_scan(library, probes)
+        for cell in cells[split:]:  # added after the first query
+            library.add(cell)
+        _assert_matches_scan(library, probes)
+        _assert_matches_scan(pickle.loads(pickle.dumps(library)), probes)
+        _assert_matches_scan(
+            Library("ctor", cells=dict(library.cells)), probes
+        )
+        virtual = build_virtual_library(
+            library, scheme_from_period(1.0), overhead=1.0
+        )
+        _assert_matches_scan(virtual.library, probes)
+
+    def test_sizing_strips_one_base_name_per_query(
+        self, s1196_initial, monkeypatch
+    ):
+        """Sizing queries answer from the index: a pass strips at most
+        one cell name per ``Library`` query, not one per library cell."""
+        circuit, placement, _ = s1196_initial
+        counts = {"base_name": 0, "queries": 0}
+        strip = CombCell.base_name.fget
+
+        def counted_base_name(cell):
+            counts["base_name"] += 1
+            return strip(cell)
+
+        def counted(query):
+            def call(*args, **kwargs):
+                counts["queries"] += 1
+                return query(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(CombCell, "base_name", property(counted_base_name))
+        for name in (
+            "drive_variants",
+            "next_drive_up",
+            "vt_variant",
+            "comb_by_function",
+            "pick_comb",
+        ):
+            monkeypatch.setattr(Library, name, counted(getattr(Library, name)))
+
+        loose = {
+            name: circuit.scheme.window_close * 10
+            for name in circuit.endpoint_names
+        }
+        recover_area(circuit, placement, loose, max_passes=1)
+        engine = circuit.engine
+        endpoint = max(circuit.endpoint_names, key=engine.endpoint_arrival)
+        speed_paths(
+            circuit, {endpoint: engine.worst_arrival() * 0.8}, max_passes=1
+        )
+        assert counts["queries"] > 0
+        assert counts["base_name"] <= counts["queries"]

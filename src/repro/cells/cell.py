@@ -72,11 +72,6 @@ class Cell:
         if self.area < 0:
             raise ValueError(f"cell {self.name}: area must be non-negative")
 
-    @property
-    def is_sequential(self) -> bool:
-        """True for latches and flip-flops."""
-        return isinstance(self, SequentialCell)
-
 
 @dataclass(frozen=True)
 class CombCell(Cell):

@@ -157,19 +157,3 @@ EDL_SCHEME_OVERHEADS = {
     # Metastability-hardened detector with synchronizer chain [8].
     "metastability_hardened": 2.0,
 }
-
-
-def scheme_overhead(name: str) -> float:
-    """The amortized overhead ``c`` of a named EDL scheme.
-
-    Hardening policies resolve their ``c`` through this accessor so a
-    typo'd scheme name is a diagnosable error, not a silent KeyError
-    deep inside a sweep.
-    """
-    try:
-        return EDL_SCHEME_OVERHEADS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown EDL scheme {name!r}; choose from "
-            f"{sorted(EDL_SCHEME_OVERHEADS)}"
-        ) from None

@@ -184,9 +184,7 @@ def run_flow(
     scheme: Optional[ClockScheme] = None,
     model: Optional[str] = None,
     sizing: bool = True,
-    solver: str = "flow",
     rescue_budget_scale: float = 1.0,
-    solver_policy=None,
     guard: Union[Guard, GuardPolicy, str, None] = None,
     sta_mode: str = "incremental",
     sta_engine: str = "object",
@@ -240,9 +238,7 @@ def run_flow(
     error-rate reductions beyond the area-optimal point (the Section
     VI-D observation that ~5% extra area can drive error rates to 0).
 
-    ``solver_policy`` configures the min-cost-flow fallback chain
-    (:class:`repro.retime.mincostflow.SolverPolicy`); ``guard``
-    enables the inter-stage invariant checkpoints
+    ``guard`` enables the inter-stage invariant checkpoints
     (:class:`repro.guard.GuardPolicy` or its string name — or a
     pre-built :class:`repro.guard.Guard` to share records).
     """
@@ -257,9 +253,8 @@ def run_flow(
         with use_store(resolved):
             return run_flow(
                 method, netlist, library, overhead, scheme=scheme,
-                model=model, sizing=sizing, solver=solver,
-                rescue_budget_scale=rescue_budget_scale,
-                solver_policy=solver_policy, guard=guard,
+                model=model, sizing=sizing,
+                rescue_budget_scale=rescue_budget_scale, guard=guard,
                 sta_mode=sta_mode, retime_cache=retime_cache,
                 harden_fraction=harden_fraction, convert=convert,
             )
@@ -325,17 +320,14 @@ def run_flow(
     with stage_scope("retime", circuit=netlist.name):
         if method == "base":
             retiming = base_retime(
-                circuit, overhead,
-                solver=solver, conflict_policy=conflict_policy,
-                solver_policy=solver_policy,
+                circuit, overhead, conflict_policy=conflict_policy,
                 retime_cache=retime_cache,
             )
         elif method in ("grar", "grar-gate", "grar-lp"):
-            grar_solver = "lp" if method == "grar-lp" else solver
+            grar_solver = "lp" if method == "grar-lp" else "flow"
             retiming = grar_retime(
                 circuit, overhead,
                 solver=grar_solver, conflict_policy=conflict_policy,
-                solver_policy=solver_policy,
                 retime_cache=retime_cache,
             )
             if sizing:
@@ -369,7 +361,6 @@ def run_flow(
                     retiming = grar_retime(
                         circuit, overhead,
                         solver=grar_solver, conflict_policy=conflict_policy,
-                        solver_policy=solver_policy,
                         retime_cache=retime_cache,
                     )
         elif method == "selective":
@@ -386,9 +377,7 @@ def run_flow(
             )
 
             retiming = base_retime(
-                circuit, overhead,
-                solver=solver, conflict_policy=conflict_policy,
-                solver_policy=solver_policy,
+                circuit, overhead, conflict_policy=conflict_policy,
                 retime_cache=retime_cache,
             )
             fragility = rank_fragility(circuit, retiming.placement)
@@ -406,9 +395,7 @@ def run_flow(
                 if mandatory:
                     speed_paths(circuit, mandatory)
             retiming = base_retime(
-                circuit, overhead,
-                solver=solver, conflict_policy=conflict_policy,
-                solver_policy=solver_policy,
+                circuit, overhead, conflict_policy=conflict_policy,
                 retime_cache=retime_cache,
             )
             retiming.method = "selective"
@@ -454,9 +441,7 @@ def run_flow(
                 overhead,
                 variant=variant,
                 post_swap=(method != "rvl-noswap"),
-                solver=solver,
                 types=types,
-                solver_policy=solver_policy,
             )
         else:  # pragma: no cover - guarded above
             raise FlowStageError(
@@ -529,7 +514,7 @@ def run_flow(
         comb_area=comb_area,
         runtime_s=runtime_s,
         guard_records=sentinel.records,
-        solver_backend=retiming.notes.get("solver_backend", solver),
+        solver_backend=retiming.notes["solver_backend"],
         conversion=conversion,
     )
 

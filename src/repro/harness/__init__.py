@@ -2,12 +2,9 @@
 
 from repro.harness.tables import TableResult, render_table
 from repro.harness.paper import PAPER_AVERAGES, PAPER_TABLE1
+from repro.harness.cell import run_cell
 from repro.harness.experiments import ExperimentSuite
-from repro.harness.parallel import (
-    plan_cells,
-    run_cell,
-    run_suite_parallel,
-)
+from repro.harness.parallel import plan_cells, run_suite_parallel
 
 __all__ = [
     "TableResult",

@@ -1,8 +1,10 @@
 """Experiment drivers: one method per paper table/figure.
 
 :class:`ExperimentSuite` lazily generates the benchmark circuits,
-memoizes flow outcomes across tables (Tables IV-VII share the same
-runs), and renders each table in the paper's layout.
+computes each (circuit, method, c) cell a table pulls through the one
+cell path (:mod:`repro.harness.cell`), memoizes the outcomes across
+tables (Tables IV-VII share the same runs), and renders each table in
+the paper's layout.
 """
 
 from __future__ import annotations
@@ -16,20 +18,28 @@ from repro.cells.library import Library
 from repro.circuits import build_benchmark, suite_names
 from repro.clocks import ClockScheme
 from repro.errors import ReproError, stage_scope
-from repro.flows import FlowOutcome, prepare_circuit, run_flow
+from repro.flows import FlowOutcome, prepare_circuit
 from repro.flows.run import check_timing_engine
+from repro.harness.cell import (
+    CellResult,
+    CellTask,
+    FlowRecord,
+    run_cell,
+    simulate,
+)
 from repro.harness.paper import OVERHEAD_LEVELS, PAPER_TABLE1
 from repro.harness.tables import TableResult
 from repro.latches.conversion import flop_resilient_area, original_flop_report
 from repro.netlist.netlist import Netlist
-from repro.sim import estimate_error_rate_batched
 from repro.store import (
     ArtifactStore,
     SweepMemo,
     decode_memo_cell_key,
+    get_store,
     library_fingerprint,
     memo_cell_key,
     open_store,
+    use_store,
 )
 
 LEVELS: Sequence[Tuple[str, float]] = tuple(OVERHEAD_LEVELS.items())
@@ -51,8 +61,6 @@ class FailedOutcome:
     overhead: float
     stage: Optional[str]
     error: Dict[str, object]
-
-    failed = True
 
     @property
     def n_slaves(self) -> float:
@@ -82,55 +90,6 @@ class FailedOutcome:
         )
 
 
-@dataclass
-class FlowRecord:
-    """Numbers a completed run contributes to the tables.
-
-    This is what the resumable memo persists — enough to re-render
-    every table (including re-costing under a different overhead)
-    without re-running the flow.
-    """
-
-    method: str
-    circuit_name: str
-    overhead: float
-    n_slaves: int
-    n_masters: int
-    n_edl: int
-    latch_area: float
-    comb_area: float
-    runtime_s: float
-    solver_backend: str = ""
-
-    failed = False
-
-    @property
-    def sequential_area(self) -> float:
-        """Same arithmetic as :class:`SequentialCost.area`."""
-        return (
-            self.n_slaves + self.n_masters + self.overhead * self.n_edl
-        ) * self.latch_area
-
-    @property
-    def total_area(self) -> float:
-        return self.comb_area + self.sequential_area
-
-    @staticmethod
-    def from_outcome(outcome: FlowOutcome) -> "FlowRecord":
-        return FlowRecord(
-            method=outcome.method,
-            circuit_name=outcome.circuit_name,
-            overhead=outcome.overhead,
-            n_slaves=outcome.cost.n_slaves,
-            n_masters=outcome.cost.n_masters,
-            n_edl=outcome.cost.n_edl,
-            latch_area=outcome.cost.latch_area,
-            comb_area=outcome.comb_area,
-            runtime_s=outcome.runtime_s,
-            solver_backend=outcome.solver_backend,
-        )
-
-
 #: Anything `outcome()` may hand to the tables.
 AnyOutcome = Union[FlowOutcome, FlowRecord, FailedOutcome]
 
@@ -151,7 +110,6 @@ class ExperimentSuite:
         guard: Optional[str] = None,
         isolate: bool = False,
         memo_path: Optional[str] = None,
-        solver_policy=None,
         checkpoint_every: int = 1,
         retime_cache: bool = True,
         store: Union[ArtifactStore, str, None] = None,
@@ -174,7 +132,6 @@ class ExperimentSuite:
         self.sta_engine = sta_engine
         self.guard = guard
         self.isolate = isolate
-        self.solver_policy = solver_policy
         #: reuse compiled retiming problems + simplex warm starts when
         #: sweeping overheads; ``False`` is the bit-parity oracle.
         self.retime_cache = retime_cache
@@ -258,86 +215,174 @@ class ExperimentSuite:
     def outcome(self, name: str, method: str, overhead: float) -> AnyOutcome:
         """The (memoized) flow outcome for (circuit, method, c).
 
-        For c-independent methods the flow runs once and other
-        overheads are derived by re-costing (same placement, same EDL
-        set) — a 3x saving on the full-suite tables.
+        A missing cell is computed in-process by the task
+        :meth:`task` builds, so its whole sweep lands at once.  For
+        c-independent methods the flow runs once and other overheads
+        are derived by re-costing (same placement, same EDL set) — a 3x
+        saving on the full-suite tables.
 
-        With ``isolate=True`` a run that raises a
-        :class:`~repro.errors.ReproError` yields a
+        Failures follow :meth:`settle`: with ``isolate=True`` a run
+        that raises a :class:`~repro.errors.ReproError` yields a
         :class:`FailedOutcome` (NaN metrics, rendered ``FAILED``)
         instead of killing the whole suite; with a ``memo_path``,
         completed runs resume from disk.
         """
         key = (name, method, overhead)
-        if key in self._outcomes:
-            return self._outcomes[key]
-        if method in self.C_INDEPENDENT:
-            canonical = (name, method, 1.0)
-            if canonical not in self._outcomes:
-                self._outcomes[canonical] = self._run(name, method, 1.0)
-                self.checkpoint(force=False)
-            base = self._outcomes[canonical]
-            if overhead == 1.0:
-                return base
-            self._outcomes[key] = self._recost(base, overhead)
-            return self._outcomes[key]
-        if method in self.GRAR_METHODS and self.retime_cache:
-            # Group the sweep per circuit: solving every overhead now,
-            # back to back, keeps the compiled problem and the warm
-            # basis hot instead of interleaving circuits between them.
-            for _, level in LEVELS:
-                level_key = (name, method, level)
-                if level_key not in self._outcomes:
-                    self._outcomes[level_key] = self._run(
-                        name, method, level
-                    )
-                    self.checkpoint(force=False)
-            if key in self._outcomes:
-                return self._outcomes[key]
-        self._outcomes[key] = self._run(name, method, overhead)
-        self.checkpoint(force=False)
+        if key not in self._outcomes:
+            self._pull(name, method, overhead)
+            if method in self.C_INDEPENDENT and overhead != 1.0:
+                self._outcomes[key] = self._recost(
+                    self._outcomes[(name, method, 1.0)], overhead
+                )
         return self._outcomes[key]
 
-    def _run(self, name: str, method: str, overhead: float) -> AnyOutcome:
-        """One isolated flow invocation (plus memo bookkeeping)."""
+    def error_rate(self, name: str, method: str, overhead: float) -> float:
+        """The (memoized) simulated error rate in percent.
+
+        c-independent methods share one simulation (identical
+        placements and EDL sets across overheads).  A live outcome
+        simulates on the spot; a missing cell, or one the memo resumed
+        without its live circuit, runs its flow with the rate owed.
+        Failed flows and simulations report NaN (rendered ``FAILED``).
+        """
+        if method in self.C_INDEPENDENT:
+            overhead = 1.0
+        key = (name, method, overhead)
+        if key not in self._error_rates:
+            out = self._outcomes.get(key)
+            if isinstance(out, FlowOutcome):
+                self.settle(
+                    simulate(
+                        CellResult(name, method, overhead, outcome=out),
+                        self.error_rate_cycles,
+                        self.sim_seeds,
+                        self.sim_backend,
+                    )
+                )
+            else:
+                self._pull(name, method, overhead, rates=True)
+        return self._error_rates.get(key, _NAN)
+
+    # -- the one cell path -------------------------------------------------
+
+    def task(
+        self, name: str, method: str, overhead: float, rates: bool = False
+    ) -> Optional[CellTask]:
+        """The task that computes cell (name, method, c), or ``None``
+        when nothing is left to compute.
+
+        The sweep rule: c-independent methods run at the canonical
+        c = 1.0; a G-RAR method with the retime cache runs at every
+        level, so the compiled problem and warm basis carry across the
+        sweep; anything else runs at its one c.  Points already settled
+        drop out, unless ``rates`` and they still owe an error rate
+        (a failed cell owes none).
+
+        The circuit's netlist and clock scheme are looked up under the
+        ``prepare`` stage: a circuit that cannot be prepared settles
+        every point of the sweep as failed (:meth:`settle`; a strict
+        suite raises) and gets no task.
+        """
+        if method in self.C_INDEPENDENT:
+            points: Tuple[float, ...] = (1.0,)
+        elif method in self.GRAR_METHODS and self.retime_cache:
+            points = tuple(c for _, c in LEVELS)
+            if overhead not in points:
+                points += (overhead,)
+        else:
+            points = (overhead,)
+
+        def owes_rate(c: float) -> bool:
+            key = (name, method, c)
+            return (
+                rates
+                and key not in self._error_rates
+                and not isinstance(self._outcomes.get(key), FailedOutcome)
+            )
+
+        sweep = tuple(
+            c for c in points
+            if (name, method, c) not in self._outcomes or owes_rate(c)
+        )
+        if not sweep:
+            return None
         try:
             with stage_scope("prepare", circuit=name):
                 netlist = self.netlist(name)
                 scheme = self.scheme(name)
-            outcome = run_flow(
-                method,
-                netlist,
-                self.library,
-                overhead,
-                scheme=scheme,
-                guard=self.guard,
-                solver_policy=self.solver_policy,
-                sta_mode=self.sta_mode,
-                retime_cache=self.retime_cache,
-                store=self.store,
-            )
         except ReproError as exc:
+            for c in sweep:
+                self.settle(CellResult(name, method, c).fail(exc))
+            return None
+        return CellTask(
+            circuit=name,
+            method=method,
+            sweep=sweep,
+            rate_overheads=tuple(c for c in sweep if owes_rate(c)),
+            netlist=netlist,
+            scheme=scheme,
+            library=self.library,
+            guard=self.guard,
+            cycles=self.error_rate_cycles,
+            seeds=self.sim_seeds,
+            sim_backend=self.sim_backend,
+            sta_mode=self.sta_mode,
+            retime_cache=self.retime_cache,
+            store_dir=(
+                str(self.store.root)
+                if self.store is not None and self.store.persistent
+                else None
+            ),
+        )
+
+    def _pull(
+        self, name: str, method: str, overhead: float, rates: bool = False
+    ) -> None:
+        """Compute a missing cell in-process: the same task
+        :func:`~repro.harness.parallel.plan_cells` ships, run under the
+        suite's own store object."""
+        task = self.task(name, method, overhead, rates)
+        if task is None:
+            return
+        store = self.store if self.store is not None else get_store()
+        with use_store(store):
+            for result in run_cell(task):
+                self.settle(result)
+
+    def settle(self, result: CellResult) -> None:
+        """Fold one computed cell into the suite — the one settle rule,
+        for in-process and worker results alike.
+
+        A strict suite raises the cell's typed error, whether its flow
+        or its simulation failed, and keeps nothing of the cell.  An
+        isolated suite lists the failure in ``failures`` and keeps the
+        cell: a failed flow as a :class:`FailedOutcome`, a failed
+        simulation as a NaN rate next to its outcome.  Every settled
+        cell marks the memo dirty.
+        """
+        failed = None
+        if result.error is not None:
             if not self.isolate:
-                raise
-            exc.annotate(circuit=name)
+                raise result.to_error()
             failed = FailedOutcome(
-                method=method,
-                circuit_name=name,
-                overhead=overhead,
-                stage=exc.stage,
-                error=exc.to_dict(),
+                method=result.method,
+                circuit_name=result.circuit,
+                overhead=result.overhead,
+                stage=result.error.get("stage"),
+                error=result.error,
             )
             self.failures.append(failed)
-            self.checkpoint(force=False)
-            return failed
-        return outcome
+        self._outcomes[result.key] = (
+            result.outcome if result.outcome is not None else failed
+        )
+        if result.error_rate is not None:
+            self._error_rates[result.key] = result.error_rate
+        self.checkpoint(force=False)
 
     @staticmethod
     def _recost(outcome: AnyOutcome, overhead: float) -> AnyOutcome:
         """Clone an outcome under a different EDL overhead."""
-        if isinstance(outcome, FailedOutcome):
-            return replace(outcome, overhead=overhead)
-        if isinstance(outcome, FlowRecord):
+        if isinstance(outcome, (FailedOutcome, FlowRecord)):
             return replace(outcome, overhead=overhead)
         return replace(
             outcome,
@@ -353,60 +398,6 @@ class ExperimentSuite:
                 cost=replace(outcome.retiming.cost, overhead=overhead),
             ),
         )
-
-    def error_rate(self, name: str, method: str, overhead: float) -> float:
-        """The (memoized) simulated error rate in percent.
-
-        c-independent methods share one simulation (identical
-        placements and EDL sets across overheads).  Failed circuits
-        report NaN (rendered ``FAILED``).
-        """
-        if method in self.C_INDEPENDENT and overhead != 1.0:
-            return self.error_rate(name, method, 1.0)
-        key = (name, method, overhead)
-        if key not in self._error_rates:
-            out = self.outcome(name, method, overhead)
-            if isinstance(out, FailedOutcome):
-                return _NAN
-            if isinstance(out, FlowRecord):
-                # The memo resumed this run without the live circuit;
-                # re-run the flow once to simulate on it.
-                out = self._run(name, method, overhead)
-                if not isinstance(out, FlowOutcome):
-                    return _NAN
-                self._outcomes[(name, method, overhead)] = out
-            try:
-                with stage_scope("simulate", circuit=name):
-                    # One compile serves the whole seed sweep; for a
-                    # single seed the reports are byte-identical to
-                    # the sequential estimate_error_rate call.
-                    reports = estimate_error_rate_batched(
-                        out.circuit,
-                        out.retiming.placement,
-                        out.edl_endpoints,
-                        cycles=self.error_rate_cycles,
-                        seeds=self.sim_seeds,
-                        backend=self.sim_backend,
-                    )
-            except ReproError as exc:
-                if not self.isolate:
-                    raise
-                self.failures.append(
-                    FailedOutcome(
-                        method=method,
-                        circuit_name=name,
-                        overhead=overhead,
-                        stage=exc.stage,
-                        error=exc.to_dict(),
-                    )
-                )
-                self._error_rates[key] = _NAN
-                return _NAN
-            self._error_rates[key] = sum(
-                r.error_rate for r in reports
-            ) / len(reports)
-            self.checkpoint(force=False)
-        return self._error_rates[key]
 
     # -- failure reporting and resumability --------------------------------
 
@@ -436,8 +427,8 @@ class ExperimentSuite:
         self._memo.path = path
 
     def _memo_config(self) -> Dict[str, object]:
-        """What the memoized values depend on: library content,
-        simulated cycles and seeds, and the solver policy.
+        """What the memoized values depend on: library content and
+        simulated cycles and seeds.
 
         Bit-identical-by-contract switches (simulation backend, STA
         mode/engine, retime cache, jobs) stay out, so one memo serves
@@ -447,7 +438,6 @@ class ExperimentSuite:
             "library": library_fingerprint(self.library),
             "cycles": self.error_rate_cycles,
             "seeds": list(self.sim_seeds),
-            "solver_policy": repr(self.solver_policy),
         }
 
     def checkpoint(self, force: bool = True) -> bool:
@@ -485,23 +475,6 @@ class ExperimentSuite:
         self._memo.save(entries)
         self._dirty_cells = 0
         return True
-
-    # -- parallel-engine merge hooks ---------------------------------------
-
-    def record_outcome(
-        self, key: Tuple[str, str, float], outcome: AnyOutcome
-    ) -> None:
-        """Merge one completed (possibly remote) cell into the memo."""
-        self._outcomes[key] = outcome
-        if isinstance(outcome, FailedOutcome):
-            self.failures.append(outcome)
-        self.checkpoint(force=False)
-
-    def record_error_rate(
-        self, key: Tuple[str, str, float], rate: float
-    ) -> None:
-        """Merge one simulated error rate into the memo."""
-        self._error_rates[key] = rate
 
     # -- Table I ----------------------------------------------------------
 
@@ -776,6 +749,10 @@ class ExperimentSuite:
                for col in ("flop_res", "latch_res", "saving%")],
         )
         for name in self.circuit_names:
+            # The G-RAR cells first: a circuit that cannot be prepared
+            # then lists its failed cells, as a --jobs sweep does.
+            latch = [self.outcome(name, "grar", c).total_area
+                     for _, c in LEVELS]
             try:
                 with stage_scope("prepare", circuit=name):
                     netlist = self.netlist(name)
@@ -791,9 +768,8 @@ class ExperimentSuite:
                 )
                 continue
             row: List = [name, round(report.total_area, 1)]
-            for _, c in LEVELS:
+            for (_, c), latch_res in zip(LEVELS, latch):
                 flop_res = flop_resilient_area(report, self.library, c)
-                latch_res = self.outcome(name, "grar", c).total_area
                 row += [
                     round(flop_res, 1),
                     round(latch_res, 1),

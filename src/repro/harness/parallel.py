@@ -3,34 +3,34 @@
 The paper's table sweep is embarrassingly parallel — every
 (circuit, method, overhead) cell is an independent flow run — yet
 :class:`~repro.harness.experiments.ExperimentSuite` computes cells
-lazily, one at a time, as the tables pull on them.  This module adds
-the production-scale path: :func:`run_suite_parallel` plans the cells
-a table selection needs, fans the *canonical* ones out over
-:func:`run_tasks_with_deadline` — the one process runner, which the
-scenario matrix uses too — and settles each result into the suite's
-memo as it lands, so the tables render from warm cache.
+lazily, one task at a time, as the tables pull on them.  This module
+adds the production-scale path: :func:`run_suite_parallel` plans the
+tasks a table selection needs — the same
+:class:`~repro.harness.cell.CellTask` a lazy pull builds — fans them
+out over :func:`run_tasks_with_deadline`, the one process runner,
+which the scenario matrix uses too, and settles each result into the
+suite the moment it lands, so the tables render from warm cache.
 
 Design points:
 
+* **one cell path** — a worker runs
+  :func:`~repro.harness.cell.run_cell`, the code the suite runs
+  in-process, on the parent's exact netlist, clock scheme and library,
+  and the parent settles its results with
+  :meth:`ExperimentSuite.settle`, the in-process rule.  Parallel tables
+  are bit-identical to sequential ones by construction.
 * **c-independent re-costing is respected** — methods in
   ``ExperimentSuite.C_INDEPENDENT`` run once at the canonical
   overhead ``c = 1.0``; the other overheads are derived in-process by
-  re-costing, so derived cells never spawn a worker
-  (:func:`plan_cells` emits canonical cells only).
-* **bit-identical results** — each worker rebuilds nothing: it
-  receives the parent's exact :class:`~repro.netlist.netlist.Netlist`
-  copy, clock scheme, and library, and runs the same deterministic
-  ``run_flow`` / ``estimate_error_rate`` code the sequential path
-  runs.  A parity test pins this down.
+  re-costing, so derived cells never spawn a worker.
 * **cells that need error rates simulate in the worker** — Table VIII
   methods carry the simulation along, so a resumed
-  :class:`~repro.harness.experiments.FlowRecord` never forces a
-  sequential re-run.
-* **batched checkpoints** — each settled cell bumps the suite's memo
-  through :meth:`ExperimentSuite.record_outcome` (a write every
-  ``checkpoint_every`` cells) and the sweep flushes once more when it
-  ends or is interrupted, so a killed sweep resumes from its last
-  checkpoint.
+  :class:`~repro.harness.cell.FlowRecord` never forces a sequential
+  re-run.
+* **batched checkpoints** — each settled cell marks the suite's memo
+  dirty (a write every ``checkpoint_every`` cells) and the sweep
+  flushes once more when it ends or is interrupted, so a killed sweep
+  resumes from its last checkpoint.
 * **metrics ride along** — the runner runs every worker under a fresh
   :mod:`repro.metrics` collector and merges it into the caller's
   ambient collector as each result arrives, so ``--bench-out`` sees
@@ -52,29 +52,16 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
 
 from repro import metrics
-from repro.cells.library import Library
-from repro.clocks import ClockScheme
-from repro.errors import (
-    DeadlineError,
-    FlowStageError,
-    ReproError,
-    stage_scope,
-)
-from repro.flows import run_flow
-from repro.harness.experiments import (
-    ExperimentSuite,
-    FailedOutcome,
-    FlowRecord,
-    LEVELS,
-)
-from repro.netlist.netlist import Netlist
-from repro.sim import estimate_error_rate_batched
-from repro.store import open_store, use_store
+from repro.errors import DeadlineError, FlowStageError, ReproError
+from repro.harness.cell import CellResult, CellTask, run_cell
+from repro.harness.experiments import LEVELS, ExperimentSuite
+from repro.store import get_store, open_store, use_store
 
 #: Methods whose cells the full table set (I-IX + VI-D) reads.
 TABLE_METHODS: Tuple[str, ...] = (
@@ -126,305 +113,40 @@ def methods_for_tables(
     return tuple(methods), need_rates
 
 
-@dataclass(frozen=True)
-class CellTask:
-    """One canonical (circuit, method, overhead) unit of work.
-
-    Ships the parent's exact inputs so the worker reproduces the
-    sequential run bit for bit.
-    """
-
-    circuit: str
-    method: str
-    overhead: float
-    netlist: Netlist
-    scheme: ClockScheme
-    library: Library
-    guard: Optional[str]
-    solver_policy: Any
-    error_rate: bool
-    cycles: int
-    seed: int
-    #: Monte-Carlo seed sweep for the Table VIII simulation — every
-    #: seed runs through one shared compile
-    #: (:func:`~repro.sim.batch.estimate_error_rate_batched`) and the
-    #: cell reports the mean error rate.  Empty = ``(seed,)``.
-    seeds: Tuple[int, ...] = ()
-    sim_backend: str = "compiled"
-    sta_mode: str = "incremental"
-    retime_cache: bool = True
-    #: persistent artifact-store directory the worker opens and runs
-    #: under — compiled problems are shared through it across the
-    #: whole worker fleet (and later invocations).
-    store_dir: Optional[str] = None
-    #: sweep points this task covers (empty = just ``overhead``).
-    #: G-RAR tasks ship one sweep per circuit so the worker's compiled
-    #: problem and warm basis are reused across overheads.
-    overheads: Tuple[float, ...] = ()
-    #: subset of ``overheads`` that still owes a simulated error rate.
-    rate_overheads: Tuple[float, ...] = ()
-
-    @property
-    def key(self) -> Tuple[str, str, float]:
-        return (self.circuit, self.method, self.overhead)
-
-    @property
-    def sweep(self) -> Tuple[float, ...]:
-        """The overheads this task actually runs."""
-        return self.overheads or (self.overhead,)
-
-
-@dataclass
-class CellResult:
-    """What a worker sends back: a record or a structured failure."""
-
-    circuit: str
-    method: str
-    overhead: float
-    record: Optional[Dict[str, Any]] = None
-    #: the failure in :meth:`ReproError.to_dict` form.
-    error: Optional[Dict[str, Any]] = None
-    error_rate: Optional[float] = None
-    wall_s: float = 0.0
-    #: which simulation backend produced the error rate (when one ran).
-    sim_backend: Optional[str] = None
-    #: simulation throughput of this cell's Table VIII run (``None``
-    #: when no simulation ran or the wall clock read zero).
-    sim_cycles_per_sec: Optional[float] = None
-
-    @property
-    def key(self) -> Tuple[str, str, float]:
-        return (self.circuit, self.method, self.overhead)
-
-    @property
-    def failed(self) -> bool:
-        return self.record is None
-
-
 def plan_cells(
     suite: ExperimentSuite,
     methods: Sequence[str] = TABLE_METHODS,
     error_rates: bool = True,
 ) -> List[CellTask]:
-    """The canonical cells the suite still needs, ready to ship.
+    """The tasks the suite still needs, ready to ship.
 
-    c-independent methods contribute only their ``c = 1.0`` canonical
-    cell (derived overheads re-cost in-process); cells already memoized
-    — including from a resumed memo — are skipped unless they still
-    owe an error rate.
+    Each is the task :meth:`ExperimentSuite.task` builds for a
+    (circuit, method) at some overhead level, one per distinct sweep:
+    c-independent methods contribute only their canonical ``c = 1.0``
+    cell, and cells already settled — including from a resumed memo —
+    are skipped unless they still owe an error rate.
     """
     tasks: List[CellTask] = []
-    store_dir = (
-        str(suite.store.root)
-        if suite.store is not None and suite.store.persistent
-        else None
-    )
     for name in suite.circuit_names:
-        try:
-            # Same prepare scope as ExperimentSuite._run: a broken
-            # netlist surfaces as a typed error (strict) or FAILED
-            # cells (isolate), never a bare KeyError during planning.
-            with stage_scope("prepare", circuit=name):
-                netlist = suite.netlist(name)
-                scheme = suite.scheme(name)
-        except ReproError as exc:
-            if not suite.isolate:
-                raise
-            exc.annotate(circuit=name)
-            for method in methods:
-                levels = (
-                    (1.0,)
-                    if method in suite.C_INDEPENDENT
-                    else tuple(c for _, c in LEVELS)
-                )
-                for overhead in levels:
-                    key = (name, method, overhead)
-                    if key in suite._outcomes and not isinstance(
-                        suite._outcomes[key], FailedOutcome
-                    ):
-                        continue
-                    suite.record_outcome(
-                        key,
-                        FailedOutcome(
-                            method=method,
-                            circuit_name=name,
-                            overhead=overhead,
-                            stage=exc.stage,
-                            error=exc.to_dict(),
-                        ),
-                    )
-            continue
         for method in methods:
-            if method in suite.C_INDEPENDENT:
-                levels: Tuple[float, ...] = (1.0,)
-            else:
-                levels = tuple(c for _, c in LEVELS)
-            pending: List[float] = []
-            pending_rates: List[float] = []
-            for overhead in levels:
-                key = (name, method, overhead)
-                have_outcome = key in suite._outcomes and not isinstance(
-                    suite._outcomes[key], FailedOutcome
-                )
-                need_rate = (
-                    error_rates
-                    and method in ERROR_RATE_METHODS
-                    and key not in suite._error_rates
-                )
-                if have_outcome and not need_rate:
-                    continue
-                pending.append(overhead)
-                if need_rate:
-                    pending_rates.append(overhead)
-            if not pending:
-                continue
-            group = (
-                method in ExperimentSuite.GRAR_METHODS
-                and suite.retime_cache
-            )
-            if group:
-                # One task per circuit covering the whole overhead
-                # sweep: the worker compiles the problem once and
-                # warm-starts each subsequent solve.
-                batches = [tuple(pending)]
-            else:
-                batches = [(overhead,) for overhead in pending]
-            for batch in batches:
-                tasks.append(
-                    CellTask(
-                        circuit=name,
-                        method=method,
-                        overhead=batch[0],
-                        netlist=netlist,
-                        scheme=scheme,
-                        library=suite.library,
-                        guard=suite.guard,
-                        solver_policy=suite.solver_policy,
-                        error_rate=batch[0] in pending_rates,
-                        cycles=suite.error_rate_cycles,
-                        seed=suite.sim_seed,
-                        seeds=suite.sim_seeds,
-                        sim_backend=suite.sim_backend,
-                        sta_mode=suite.sta_mode,
-                        retime_cache=suite.retime_cache,
-                        store_dir=store_dir,
-                        overheads=batch,
-                        rate_overheads=tuple(
-                            c for c in batch if c in pending_rates
-                        ),
-                    )
-                )
+            rates = error_rates and method in ERROR_RATE_METHODS
+            planned: Set[float] = set()
+            for _, level in LEVELS:
+                task = suite.task(name, method, level, rates)
+                if task is not None and planned.isdisjoint(task.sweep):
+                    tasks.append(task)
+                    planned.update(task.sweep)
     return tasks
 
 
-def run_cell(task: CellTask) -> List[CellResult]:
-    """Execute one task's overhead sweep; the worker entry point.
-
-    Single-overhead tasks return one result; grouped G-RAR tasks run
-    the circuit's whole sweep in-process, so the compiled retiming
-    problem and warm basis carry from point to point.  A task with a
-    ``store_dir`` opens the shared artifact store *once* for its whole
-    sweep (per-point opens would discard the memory tier between
-    points) and runs under it.
-    """
-    if task.store_dir:
-        with use_store(open_store(task.store_dir)):
-            return [_run_point(task, overhead) for overhead in task.sweep]
-    return [_run_point(task, overhead) for overhead in task.sweep]
-
-
-def _run_point(task: CellTask, overhead: float) -> CellResult:
-    """One (circuit, method, overhead) cell of a task.
-
-    Mirrors ``ExperimentSuite._run`` plus the Table VIII simulation:
-    failures come back as structured :class:`ReproError` dictionaries
-    so the parent can either isolate them (``FailedOutcome``) or
-    re-raise the typed error.
-    """
-    if task.overheads:
-        need_rate = overhead in task.rate_overheads
-    else:
-        need_rate = task.error_rate
-    started = time.perf_counter()
-    result = CellResult(
-        circuit=task.circuit, method=task.method, overhead=overhead
-    )
-    try:
-        outcome = run_flow(
-            task.method,
-            task.netlist,
-            task.library,
-            overhead,
-            scheme=task.scheme,
-            guard=task.guard,
-            solver_policy=task.solver_policy,
-            sta_mode=task.sta_mode,
-            retime_cache=task.retime_cache,
-        )
-    except ReproError as exc:
-        exc.annotate(circuit=task.circuit)
-        result.error = exc.to_dict()
-    else:
-        result.record = dict(FlowRecord.from_outcome(outcome).__dict__)
-        if need_rate:
-            try:
-                with stage_scope("simulate", circuit=task.circuit):
-                    # One compile serves the whole seed sweep;
-                    # single-seed reports are byte-identical to the
-                    # sequential per-seed call.
-                    reports = estimate_error_rate_batched(
-                        outcome.circuit,
-                        outcome.retiming.placement,
-                        outcome.edl_endpoints,
-                        cycles=task.cycles,
-                        seeds=task.seeds or (task.seed,),
-                        backend=task.sim_backend,
-                    )
-            except ReproError as exc:
-                exc.annotate(circuit=task.circuit)
-                result.error = exc.to_dict()
-                result.error_rate = float("nan")
-                result.sim_backend = task.sim_backend
-            else:
-                result.error_rate = sum(
-                    r.error_rate for r in reports
-                ) / len(reports)
-                result.sim_backend = reports[0].backend
-                result.sim_cycles_per_sec = reports[0].cycles_per_sec
-    result.wall_s = time.perf_counter() - started
-    return result
-
-
-def _merge_result(suite: ExperimentSuite, result: CellResult) -> None:
-    """Fold one worker result into the suite exactly like a local run."""
-    if result.failed:
-        error = result.error or {}
-        suite.record_outcome(
-            result.key,
-            FailedOutcome(
-                method=result.method,
-                circuit_name=result.circuit,
-                overhead=result.overhead,
-                stage=error.get("stage"),
-                error=error,
-            ),
-        )
-        return
-    suite.record_outcome(result.key, FlowRecord(**result.record))
-    if result.error_rate is not None:
-        suite.record_error_rate(result.key, result.error_rate)
-        if result.error is not None:
-            # Flow succeeded but the simulation failed: mirror the
-            # sequential path, which records the failure and NaN.
-            suite.failures.append(
-                FailedOutcome(
-                    method=result.method,
-                    circuit_name=result.circuit,
-                    overhead=result.overhead,
-                    stage=(result.error or {}).get("stage"),
-                    error=result.error or {},
-                )
-            )
+def _ship_cell(task: CellTask) -> List[CellResult]:
+    """Worker entry: :func:`run_cell` under the task's shared store
+    directory (opened once for the whole sweep, so its memory tier
+    carries from point to point), minus the live objects that cannot
+    cross the pipe."""
+    store = open_store(task.store_dir) if task.store_dir else get_store()
+    with use_store(store):
+        return [result.shipped() for result in run_cell(task)]
 
 
 # -- deadline-enforcing task runner ------------------------------------------
@@ -729,10 +451,12 @@ def run_suite_parallel(
     as a ``FailedOutcome`` whose error is a :class:`DeadlineError`
     dict.
 
-    Failures honour ``suite.isolate``: isolated suites record
-    ``FailedOutcome`` cells, strict suites finish the sweep and then
-    re-raise the lowest (circuit, method, c) worker error as its
-    original :class:`ReproError` type.
+    Failures settle by the suite's one rule
+    (:meth:`ExperimentSuite.settle`): isolated suites record
+    ``FailedOutcome`` cells and NaN rates, strict suites finish the
+    sweep and then raise the lowest (circuit, method, c) cell's error,
+    a failed simulation's as a failed flow's, with its original
+    :class:`ReproError` type.
     """
     if checkpoint_every is None:
         checkpoint_every = max(suite.checkpoint_every, 8)
@@ -744,7 +468,7 @@ def run_suite_parallel(
     )
     started = time.perf_counter()
     results: List[CellResult] = []
-    strict_failures: List[CellResult] = []
+    strict_errors: List[Tuple[Tuple[str, str, float], ReproError]] = []
     known_failures = len(suite.failures)
 
     def settle(index: int, outcome: Any) -> None:
@@ -752,14 +476,14 @@ def run_suite_parallel(
             outcome = _failure_results(tasks[index], outcome)
         for result in outcome:
             results.append(result)
-            if result.failed and not suite.isolate:
-                strict_failures.append(result)
-            else:
-                _merge_result(suite, result)
+            try:
+                suite.settle(result)
+            except ReproError as exc:
+                strict_errors.append((result.key, exc))
 
     try:
         run_tasks_with_deadline(
-            run_cell, tasks, jobs=jobs, deadline_s=deadline_s,
+            _ship_cell, tasks, jobs=jobs, deadline_s=deadline_s,
             on_result=settle,
         )
     finally:
@@ -769,9 +493,8 @@ def run_suite_parallel(
         )
         suite.checkpoint(force=True)
     wall_s = time.perf_counter() - started
-    if strict_failures:
-        first = min(strict_failures, key=lambda r: r.key)
-        raise ReproError.from_dict(first.error)
+    if strict_errors:
+        raise min(strict_errors, key=lambda item: item[0])[1]
 
     results.sort(key=lambda r: r.key)
     busy_s = sum(r.wall_s for r in results)
@@ -803,9 +526,7 @@ def run_suite_parallel(
                 "overhead": r.overhead,
                 "wall_s": round(r.wall_s, 6),
                 "failed": r.failed,
-                "solver_backend": (
-                    (r.record or {}).get("solver_backend", "")
-                ),
+                "solver_backend": getattr(r.outcome, "solver_backend", ""),
                 "sim_backend": r.sim_backend,
                 "sim_cycles_per_sec": (
                     None

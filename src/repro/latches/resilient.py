@@ -196,10 +196,6 @@ class TwoPhaseCircuit:
             return 0.0
         return self.engine.edge_delay(driver, sink)
 
-    def invalidate_timing(self) -> None:
-        """Drop timing caches after netlist mutation."""
-        self.engine.invalidate()
-
     # -- eq. (5) --------------------------------------------------------------
 
     def arrival_through(self, driver: str, sink: str, endpoint: str) -> float:

@@ -105,7 +105,13 @@ class NetlistBuilder:
         inner = {"NAND": "AND", "NOR": "OR", "XNOR": "XOR"}.get(
             function, function
         )
-        top_widths = self.library.input_widths(top)
+        # Only the widths `_pick` can map: technology mapping picks
+        # standard-Vt cells, so an LVT-only width is not one.
+        top_widths = [
+            width
+            for width in self.library.input_widths(top)
+            if self.library.comb_by_function(top, width)
+        ]
         if not top_widths:
             raise KeyError(f"library has no {top} cell at any width")
         max_top = max(top_widths)

@@ -32,7 +32,6 @@ from repro.retime.compile import compile_retiming
 from repro.retime.cutset import EndpointClass, compute_cut_sets
 from repro.retime.graph import build_retiming_graph
 from repro.retime.grar import placement_from_r
-from repro.retime.ilp import solve_retiming_lp
 from repro.retime.netflow import solve_retiming_flow
 from repro.retime.regions import Regions, compute_regions
 from repro.retime.result import RetimingResult
@@ -41,9 +40,7 @@ from repro.retime.result import RetimingResult
 def base_retime(
     circuit: TwoPhaseCircuit,
     overhead: float,
-    solver: str = "flow",
     conflict_policy: str = "error",
-    solver_policy=None,
     retime_cache: bool = True,
 ) -> RetimingResult:
     """Timing-driven min-latch retiming, EDL assigned post hoc.
@@ -108,24 +105,11 @@ def base_retime(
     phases["graph"] = time.perf_counter() - tick
 
     tick = time.perf_counter()
-    if solver == "flow":
-        solution = solve_retiming_flow(graph, policy=solver_policy)
-        r_values = solution.r_values
-        objective = solution.objective
-        iterations = solution.iterations
-        backend = solution.backend
-    elif solver == "lp":
-        lp = solve_retiming_lp(graph)
-        r_values = lp.r_values
-        objective = lp.objective
-        iterations = 0
-        backend = "lp"
-    else:
-        raise ValueError(f"unknown solver {solver!r}")
+    solution = solve_retiming_flow(graph)
     phases["solve"] = time.perf_counter() - tick
 
     tick = time.perf_counter()
-    placement = placement_from_r(circuit, r_values)
+    placement = placement_from_r(circuit, solution.r_values)
     edl = circuit.edl_endpoints(placement)
     cost = circuit.sequential_cost(placement, overhead)
     phases["apply"] = time.perf_counter() - tick
@@ -138,20 +122,20 @@ def base_retime(
     runtime_s = time.perf_counter() - started
     metrics.count("retime.base.wall_s", runtime_s)
     return RetimingResult(
-        method=f"base-{solver}",
+        method="base-flow",
         circuit_name=circuit.netlist.name,
         overhead=overhead,
         placement=placement,
         edl_endpoints=edl,
         cost=cost,
-        objective=objective,
+        objective=solution.objective,
         comb_area=comb_area,
         runtime_s=runtime_s,
         phase_runtimes=phases,
-        solver_iterations=iterations,
+        solver_iterations=solution.iterations,
         notes={
             "unmet_endpoints": str(unmet),
             "forced_gates": str(len(forced)),
-            "solver_backend": backend,
+            "solver_backend": solution.backend,
         },
     )

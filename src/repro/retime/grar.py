@@ -38,7 +38,6 @@ def grar_retime(
     overhead: float,
     solver: str = "flow",
     conflict_policy: str = "error",
-    solver_policy=None,
     retime_cache: bool = True,
 ) -> RetimingResult:
     """Run the full G-RAR pipeline on one circuit.
@@ -88,9 +87,7 @@ def grar_retime(
     tick = time.perf_counter()
     if solver == "flow":
         solution = solve_retiming_flow(
-            graph,
-            policy=solver_policy,
-            warm_basis=compiled.last_basis if compiled else None,
+            graph, warm_basis=compiled.last_basis if compiled else None
         )
         if compiled is not None and solution.basis is not None:
             compiled.last_basis = solution.basis

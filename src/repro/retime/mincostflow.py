@@ -83,20 +83,6 @@ class SolverPolicy:
     cross_check: bool = False
     verify: bool = False
 
-    def with_defaults(
-        self, max_iterations: Optional[int]
-    ) -> "SolverPolicy":
-        """Fill an unset iteration cap from a legacy argument."""
-        if max_iterations is None or self.max_iterations is not None:
-            return self
-        return SolverPolicy(
-            backends=self.backends,
-            max_iterations=max_iterations,
-            deadline_s=self.deadline_s,
-            cross_check=self.cross_check,
-            verify=self.verify,
-        )
-
 
 DEFAULT_POLICY = SolverPolicy()
 

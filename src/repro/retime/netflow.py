@@ -89,7 +89,6 @@ def build_demands_paper_form(graph: RetimingGraph) -> Dict[str, Fraction]:
 
 def solve_retiming_flow(
     graph: RetimingGraph,
-    max_iterations: Optional[int] = None,
     policy: Optional[SolverPolicy] = None,
     warm_basis: Optional[WarmBasis] = None,
 ) -> FlowSolution:
@@ -106,9 +105,9 @@ def solve_retiming_flow(
     arcs: List[Tuple[str, str, int]] = [
         (edge.tail, edge.head, edge.weight) for edge in graph.edges
     ]
-    effective = (policy or DEFAULT_POLICY).with_defaults(max_iterations)
     result = solve_min_cost_flow(
-        graph.nodes, arcs, demands, effective, warm_basis=warm_basis
+        graph.nodes, arcs, demands, policy or DEFAULT_POLICY,
+        warm_basis=warm_basis,
     )
 
     host_pot = result.potentials[HOST]

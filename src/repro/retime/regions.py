@@ -39,14 +39,6 @@ class Regions:
             return (0, 0)
         return (-1, 0)
 
-    def can_retime(self, name: str) -> bool:
-        """True when ``r(name) = -1`` is allowed."""
-        return name not in self.vn
-
-    def must_retime(self, name: str) -> bool:
-        """True when ``r(name) = -1`` is forced (Vm)."""
-        return name in self.vm
-
     def summary(self) -> str:
         """Region sizes as a short string."""
         return (

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.latches.placement import SlavePlacement
 from repro.latches.resilient import EPS, TwoPhaseCircuit
@@ -32,13 +32,6 @@ class FragilityEntry:
     #: can land inside the timing-resiliency window.
     slack: float
 
-    def row(self) -> Dict[str, object]:
-        return {
-            "endpoint": self.endpoint,
-            "arrival": self.arrival,
-            "slack": self.slack,
-        }
-
 
 @dataclass(frozen=True)
 class FragilityReport:
@@ -53,9 +46,6 @@ class FragilityReport:
         window opening — the masters that *need* error detection)."""
         limit = self.window_open if threshold is None else threshold
         return [e for e in self.entries if e.arrival > limit + EPS]
-
-    def to_rows(self) -> List[Dict[str, object]]:
-        return [e.row() for e in self.entries]
 
 
 def rank_fragility(

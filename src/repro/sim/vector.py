@@ -152,48 +152,6 @@ def _normalize(
     return _compact(out_times, out_values, keep)
 
 
-def _count_le(sorted_times: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Per query ``q``: how many times are <= ``q`` (both sorted).
-
-    A stable argsort of ``[times | queries]`` ranks each query after
-    every time it ties with (times come first in the concatenation),
-    so a query's merged rank minus its own index among the queries is
-    exactly the inclusive ``bisect_right`` count — O((w+C) log) per
-    lane instead of the O(w*C) broadcast compare.  +inf padding in
-    either operand yields garbage counts only for +inf queries, which
-    callers mask.
-    """
-    w = sorted_times.shape[-1]
-    c = queries.shape[-1]
-    merged = np.concatenate(
-        [sorted_times, np.broadcast_to(queries, sorted_times.shape[:-1] + (c,))],
-        axis=-1,
-    )
-    order = np.argsort(merged, axis=-1, kind="stable")
-    rank = np.empty_like(order)
-    np.put_along_axis(rank, order, np.arange(w + c), axis=-1)
-    return rank[..., w:] - np.arange(c)
-
-
-def _count_lt(sorted_times: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Per query ``q``: how many times are strictly < ``q``.
-
-    Same merged-rank trick with the queries *first* in the
-    concatenation, so ties rank the query before the equal times —
-    the strict ``bisect_left`` count.
-    """
-    w = sorted_times.shape[-1]
-    c = queries.shape[-1]
-    merged = np.concatenate(
-        [np.broadcast_to(queries, sorted_times.shape[:-1] + (c,)), sorted_times],
-        axis=-1,
-    )
-    order = np.argsort(merged, axis=-1, kind="stable")
-    rank = np.empty_like(order)
-    np.put_along_axis(rank, order, np.arange(w + c), axis=-1)
-    return rank[..., :c] - np.arange(c)
-
-
 def _value_at(
     times: np.ndarray,
     values: np.ndarray,

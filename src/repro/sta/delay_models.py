@@ -152,13 +152,6 @@ class DelayCalculator:
             self._edge_cache[key] = cached
         return cached
 
-    def gate_delay(self, name: str) -> float:
-        """Worst delay of a gate over all of its fanin edges."""
-        gate = self.netlist[name]
-        if not gate.is_comb:
-            return 0.0
-        return max(self.edge_delay(d, name) for d in gate.fanins)
-
     def _compute_edge(self, driver: str, sink: str) -> float:
         raise NotImplementedError
 

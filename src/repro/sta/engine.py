@@ -541,14 +541,3 @@ class TimingEngine:
                 out[gate.name] = arrival - limit
         return out
 
-    def endpoint_slacks(self, limit: float) -> Dict[str, float]:
-        """Per-endpoint slack against ``limit`` (negative = violating).
-
-        The fragility analyzer's view of the design: unlike
-        :meth:`violations` it reports *every* endpoint, so rankings
-        can order the safely-met ones too.
-        """
-        return {
-            gate.name: limit - self.endpoint_arrival(gate.name)
-            for gate in self.endpoints()
-        }

@@ -30,7 +30,6 @@ from repro.netlist.netlist import GateType
 from repro.retime.cutset import EndpointClass, compute_cut_sets
 from repro.retime.graph import build_retiming_graph
 from repro.retime.grar import placement_from_r
-from repro.retime.ilp import solve_retiming_lp
 from repro.retime.netflow import solve_retiming_flow
 from repro.retime.regions import Regions, compute_regions
 from repro.retime.result import RetimingResult
@@ -68,9 +67,7 @@ def vl_retime(
     overhead: float,
     variant: VlVariant = VlVariant.RVL,
     post_swap: bool = True,
-    solver: str = "flow",
     types: Optional[Dict[str, bool]] = None,
-    solver_policy=None,
 ) -> RetimingResult:
     """Run one VL-RAR variant; returns a :class:`RetimingResult`.
 
@@ -127,24 +124,11 @@ def vl_retime(
     phases["graph"] = time.perf_counter() - tick
 
     tick = time.perf_counter()
-    if solver == "flow":
-        solution = solve_retiming_flow(graph, policy=solver_policy)
-        r_values = solution.r_values
-        objective = solution.objective
-        iterations = solution.iterations
-        backend = solution.backend
-    elif solver == "lp":
-        lp = solve_retiming_lp(graph)
-        r_values = lp.r_values
-        objective = lp.objective
-        iterations = 0
-        backend = "lp"
-    else:
-        raise ValueError(f"unknown solver {solver!r}")
+    solution = solve_retiming_flow(graph)
     phases["solve"] = time.perf_counter() - tick
 
     tick = time.perf_counter()
-    placement = placement_from_r(circuit, r_values)
+    placement = placement_from_r(circuit, solution.r_values)
     swap_report = SwapReport()
     types = apply_required_upgrades(circuit, placement, types, swap_report)
     if post_swap:
@@ -172,16 +156,16 @@ def vl_retime(
         placement=placement,
         edl_endpoints=edl_set,
         cost=cost,
-        objective=objective,
+        objective=solution.objective,
         comb_area=comb_area,
         runtime_s=time.perf_counter() - started,
         phase_runtimes=phases,
-        solver_iterations=iterations,
+        solver_iterations=solution.iterations,
         notes={
             "dropped_constraints": str(len(dropped)),
             "forced_gates": str(len(forced)),
             "upgraded": str(len(swap_report.upgraded)),
             "downgraded": str(len(swap_report.downgraded)),
-            "solver_backend": backend,
+            "solver_backend": solution.backend,
         },
     )

@@ -28,11 +28,6 @@ class SwapReport:
     upgraded: List[str] = field(default_factory=list)
     downgraded: List[str] = field(default_factory=list)
 
-    @property
-    def n_changed(self) -> int:
-        """Total number of masters whose type changed."""
-        return len(self.upgraded) + len(self.downgraded)
-
 
 def apply_required_upgrades(
     circuit: TwoPhaseCircuit,

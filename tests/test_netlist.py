@@ -198,6 +198,43 @@ class TestBuilder:
             bits = [(pattern >> k) & 1 for k in range(5)]
             assert simulate(bits) == evaluate_function("NAND", bits)
 
+    def test_width_without_standard_vt_cell_is_decomposed(self, library):
+        """A width the library has at LVT only is not a mapping target:
+        the builder reduces through the narrower standard-Vt cells
+        instead of asking for a cell technology mapping cannot pick."""
+        from repro.cells.cell import evaluate_function
+        from repro.cells.library import Library
+
+        lvt_nand3 = Library(
+            "lvt-nand3",
+            cells={
+                name: cell
+                for name, cell in library.cells.items()
+                if not name.startswith("NAND3_X")
+            },
+        )
+        assert lvt_nand3.input_widths("NAND")[0] == 3
+        assert not lvt_nand3.comb_by_function("NAND", 3)
+        builder = NetlistBuilder("narrow", lvt_nand3)
+        names = [builder.input(k) for k in "abc"]
+        builder.gate("g", "NAND", names)
+        builder.output("y", "g")
+        netlist = builder.build()
+        validate(netlist, lvt_nand3)
+        cells = [lvt_nand3[gate.cell] for gate in netlist.comb_gates()]
+        assert all(cell.vt == "svt" for cell in cells)
+        assert lvt_nand3[netlist["g"].cell].function == "NAND"
+        for pattern in range(8):
+            bits = [(pattern >> k) & 1 for k in range(3)]
+            signals = dict(zip(names, bits))
+            for gate_name in netlist.topo_order():
+                gate = netlist[gate_name]
+                if gate.is_comb:
+                    signals[gate_name] = lvt_nand3[gate.cell].evaluate(
+                        [signals[f] for f in gate.fanins]
+                    )
+            assert signals["g"] == evaluate_function("NAND", bits)
+
     def test_single_input_variadic_becomes_buffer(self, library):
         builder = NetlistBuilder("buf", library)
         builder.input("a")

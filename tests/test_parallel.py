@@ -1,10 +1,11 @@
 """Parallel experiment engine, memo-key, and checkpoint regressions.
 
-Covers sequential-vs-parallel parity, canonical-cell planning, batched
-checkpoints that settle as tasks land, the config-stamped memo, and
-the memo-key bugfix: the old ``|``-joined key was not injective (a
-``|`` in the method segment made ``rsplit("|", 2)`` mis-split), so two
-distinct cells could collide in a resumed memo.
+Covers sequential-vs-parallel parity of results and of failures,
+canonical-cell planning, batched checkpoints that settle as tasks
+land, the config-stamped memo, and the memo-key bugfix: the old
+``|``-joined key was not injective (a ``|`` in the method segment made
+``rsplit("|", 2)`` mis-split), so two distinct cells could collide in
+a resumed memo.
 """
 
 import json
@@ -16,12 +17,13 @@ import pytest
 
 from repro import metrics
 from repro.circuits.generator import CloudSpec, generate_circuit
-from repro.errors import ReproError
+from repro.errors import ReproError, SimulationError
 from repro.faults import corrupt_net
 from repro.flows import FlowOutcome
 from repro.harness import ExperimentSuite, plan_cells, run_suite_parallel
 from repro.harness.experiments import LEVELS, FailedOutcome, FlowRecord
 from repro.harness.parallel import methods_for_tables
+from repro.sim import vector
 from repro.store import MEMO_SCHEMA, decode_memo_cell_key, memo_cell_key
 
 
@@ -345,6 +347,97 @@ class TestParallelFailures:
             run_suite_parallel(
                 suite, jobs=2, methods=("grar",), error_rates=False
             )
+
+    def test_vi_d_alone_lists_the_failed_cells_like_the_sweep(
+        self, library
+    ):
+        """Table VI-D pulls its G-RAR cells before the flop report, so a
+        circuit that cannot be prepared lists the same failed cells
+        sequentially as under ``run_suite_parallel``."""
+        seen = []
+        for jobs in (0, 2):
+            suite = ExperimentSuite(
+                circuits=["nosuch"], library=library, isolate=True
+            )
+            if jobs:
+                methods, rates = methods_for_tables(["vi-d"])
+                run_suite_parallel(
+                    suite, jobs=jobs, methods=methods, error_rates=rates
+                )
+            rendered = suite.flop_comparison().render()
+            failures = sorted(
+                (f.circuit_name, f.method, f.overhead, f.stage)
+                for f in suite.failures
+            )
+            seen.append((rendered, failures))
+        assert seen[0][1] == [
+            ("nosuch", "grar", c, "prepare") for _, c in LEVELS
+        ]
+        assert seen[0] == seen[1]
+
+
+class TestFailureParity:
+    """One cell path: the sequential tables and ``run_suite_parallel``
+    at ``jobs=1`` and ``jobs=2`` fail alike — a flow or a simulation
+    failure, in a strict or an isolated suite."""
+
+    @staticmethod
+    def _observe(library, monkeypatch, failure, isolate, executor):
+        """What one executor does with a suite whose circuit ``bravo``
+        fails: the raised error, or the failures and tables it ends
+        with."""
+        suite = _tiny_suite(library, isolate=isolate)
+        with monkeypatch.context() as patch:
+            if failure == "flow":
+                corrupt_net(suite._netlists["bravo"], random.Random(0))
+            else:
+                original = vector.simulate
+
+                def simulate(kernel, *args, **kwargs):
+                    if kernel.circuit.netlist.name == "bravo":
+                        raise SimulationError("injected lane failure")
+                    return original(kernel, *args, **kwargs)
+
+                patch.setattr(vector, "simulate", simulate)
+            try:
+                if executor != "sequential":
+                    run_suite_parallel(
+                        suite,
+                        jobs=int(executor[len("jobs="):]),
+                        methods=("base", "rvl", "grar"),
+                        error_rates=True,
+                    )
+                tables = (suite.table4().render(), suite.table8().render())
+            except ReproError as exc:
+                return ("raised", type(exc), str(exc))
+        failures = sorted(
+            (f.circuit_name, f.method, f.overhead, f.stage,
+             f.error.get("type"))
+            for f in suite.failures
+        )
+        return ("settled", failures, tables)
+
+    @pytest.mark.parametrize("executor", ["sequential", "jobs=1", "jobs=2"])
+    @pytest.mark.parametrize("isolate", [True, False])
+    @pytest.mark.parametrize("failure", ["flow", "simulate"])
+    def test_failures_match_the_sequential_tables(
+        self, library, monkeypatch, failure, isolate, executor
+    ):
+        expected = self._observe(
+            library, monkeypatch, failure, isolate, "sequential"
+        )
+        if isolate:
+            assert expected[0] == "settled"
+            assert expected[1], "the injected failure never fired"
+            assert "FAILED" in expected[2][1]
+        else:
+            assert expected[0] == "raised"
+            assert issubclass(expected[1], ReproError)
+            assert "[bravo/" in expected[2]
+        if executor != "sequential":
+            assert self._observe(
+                library, monkeypatch, failure, isolate, executor
+            ) == expected
 
 
 class TestCliParallel:

@@ -799,13 +799,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scen.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the scenario matrix",
+        help="worker processes, each running one (circuit, policy) group",
     )
     scen.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
-        help="per-scenario wall-clock deadline; an overrunning worker"
-             " is killed, retried once, then recorded as"
-             " FAILED(kind=deadline)",
+        help="wall-clock deadline per (circuit, policy) group: its flow"
+             " plus its simulations; an overrunning worker is killed,"
+             " retried once, then recorded as FAILED(kind=deadline)",
     )
     scen.add_argument(
         "--memo", default=None, metavar="PATH",

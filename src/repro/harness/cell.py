@@ -151,8 +151,8 @@ class CellResult:
 
     @property
     def failed(self) -> bool:
-        """Whether the flow itself failed (no outcome)."""
-        return self.outcome is None
+        """Whether the flow or its simulation failed."""
+        return self.error is not None
 
     def fail(self, exc: ReproError) -> "CellResult":
         """Capture ``exc`` as this cell's failure."""

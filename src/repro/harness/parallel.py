@@ -198,6 +198,19 @@ class TaskFailure:
         return ReproError.from_dict(self.error_dict())
 
 
+def crash_report(exc: BaseException) -> Dict[str, Any]:
+    """How a task that raised ``exc`` is reported: its message, its
+    :meth:`ReproError.to_dict` form (``None`` when untyped) and its
+    type name.  The runner reports every crashed task by this rule,
+    and the scenario worker a failed simulation inside its group."""
+    typed = isinstance(exc, ReproError)
+    return {
+        "message": str(exc) if typed else f"{type(exc).__name__}: {exc}",
+        "error": exc.to_dict() if typed else None,
+        "type": type(exc).__name__,
+    }
+
+
 def _deadline_entry(conn, worker, task) -> None:
     """Child-process entry: run the task under a fresh metrics
     collector, then report the outcome and the collector over the
@@ -210,17 +223,7 @@ def _deadline_entry(conn, worker, task) -> None:
         except (KeyboardInterrupt, SystemExit):
             raise
         except BaseException as exc:  # noqa: BLE001 - crosses a process
-            typed = isinstance(exc, ReproError)
-            report = (
-                "crash",
-                {
-                    "message": str(exc) if typed else (
-                        f"{type(exc).__name__}: {exc}"
-                    ),
-                    "error": exc.to_dict() if typed else None,
-                    "type": type(exc).__name__,
-                },
-            )
+            report = ("crash", crash_report(exc))
         conn.send(report + (collector.to_dict(),))
 
 
@@ -462,6 +465,9 @@ def run_suite_parallel(
         checkpoint_every = max(suite.checkpoint_every, 8)
     suite.checkpoint_every = max(1, int(checkpoint_every))
 
+    # Taken before planning: a circuit that cannot be prepared settles
+    # its failed cells while the tasks are planned.
+    known_failures = len(suite.failures)
     tasks = plan_cells(
         suite, methods=tuple(methods or TABLE_METHODS),
         error_rates=error_rates,
@@ -469,7 +475,6 @@ def run_suite_parallel(
     started = time.perf_counter()
     results: List[CellResult] = []
     strict_errors: List[Tuple[Tuple[str, str, float], ReproError]] = []
-    known_failures = len(suite.failures)
 
     def settle(index: int, outcome: Any) -> None:
         if isinstance(outcome, TaskFailure):

@@ -36,10 +36,10 @@ _LAZY = {
     "POLICIES": "engine",
     "UPSETS": "engine",
     "CornerSpec": "engine",
+    "ScenarioGroup": "engine",
     "ScenarioReport": "engine",
-    "ScenarioTask": "engine",
     "UpsetSpec": "engine",
-    "run_scenario": "engine",
+    "run_scenario_group": "engine",
     "run_scenarios": "engine",
     "scenario_seed": "engine",
 }

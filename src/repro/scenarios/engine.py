@@ -1,20 +1,21 @@
 """Scenario matrix engine: circuits × corners × upsets × policies.
 
-One scenario is a full flow-plus-simulation run: harden the circuit
-under a *policy* (uniform-``c`` G-RAR, fragility-ranked selective
-hardening, or the base flow), then measure its error rate under a
-delay-variation *corner* and an *upset model* (SEU capture flips and
-glitch pulses from :mod:`repro.scenarios.injectors`).  The engine
-sweeps the whole matrix through the deadline-enforcing parallel
+A scenario hardens a circuit under a *policy* (uniform-``c`` G-RAR,
+fragility-ranked selective hardening, or the base flow), then measures
+its error rate under a delay-variation *corner* and an *upset model*
+(SEU capture flips and glitch pulses from
+:mod:`repro.scenarios.injectors`).  One runner task hardens a
+(circuit, policy) group once and simulates each of its scenarios.  The
+engine sweeps the matrix through the deadline-enforcing parallel
 runner with **graceful degradation as the contract**:
 
-* a scenario that crashes, trips a strict guard, or exceeds the
-  per-scenario deadline becomes a typed FAILED entry in the report —
-  the sweep never aborts;
+* a scenario that crashes, trips a strict guard, or whose task exceeds
+  the deadline becomes a typed FAILED entry in the report — the sweep
+  never aborts;
 * transient worker deaths (and deadline kills) are retried once with
   backoff before being recorded;
-* every settled scenario is checkpointed to a resumable JSON memo the
-  moment it lands, so a killed sweep continues corner-by-corner.
+* every settled task is checkpointed to a resumable JSON memo the
+  moment it lands, so a killed sweep continues group-by-group.
 
 Two corners exist purely to drill that contract: ``chaos-crash``
 raises deterministically and ``chaos-hang`` sleeps past any deadline.
@@ -139,24 +140,25 @@ def scenario_seed(
     return int(content_digest(text, 8), 16)
 
 
+#: One scenario of a group: its corner, its upset model and its
+#: Monte-Carlo seeds (``seeds[0]`` is the legacy lane-0 seed).
+Scenario = Tuple[CornerSpec, UpsetSpec, Tuple[int, ...]]
+
+
 @dataclass(frozen=True)
-class ScenarioTask:
-    """One scenario, fully provisioned for a worker process."""
+class ScenarioGroup:
+    """One runner task: a (circuit, policy) flow plus the scenarios
+    simulated against it, fully provisioned for a worker process."""
 
     circuit: str
-    corner: CornerSpec
-    upset: UpsetSpec
     policy: str
+    scenarios: Tuple[Scenario, ...]
     netlist: Netlist
     scheme: ClockScheme
     library: Library
     overhead: float
     cycles: int
-    seed: int
     sim_backend: str = "compiled"
-    #: the full Monte-Carlo seed sweep; empty means ``(seed,)``.
-    #: ``seeds[0]`` is always the legacy lane-0 ``seed``.
-    seeds: Tuple[int, ...] = ()
     guard: Optional[str] = None
     harden_fraction: float = 0.5
     #: how long a chaos-hang corner sleeps (tests shorten it).
@@ -166,99 +168,117 @@ class ScenarioTask:
     store_dir: Optional[str] = None
 
     @property
-    def key(self) -> Tuple[str, str, str, str]:
-        return (self.circuit, self.corner.name, self.upset.name, self.policy)
+    def keys(self) -> List[Tuple[str, str, str, str]]:
+        return [
+            (self.circuit, corner.name, upset.name, self.policy)
+            for corner, upset, _ in self.scenarios
+        ]
 
 
-def run_scenario(task: ScenarioTask) -> Dict[str, Any]:
-    """Worker entry: one flow + injected simulation, as a report entry.
+def run_scenario_group(group: ScenarioGroup) -> List[Dict[str, Any]]:
+    """Worker entry: one flow, then one injected simulation per
+    scenario, as report entries in ``group.scenarios`` order.
 
-    Raises :class:`ReproError` on failure — the parallel runner turns
-    that into a typed :class:`~repro.harness.parallel.TaskFailure`.
+    A chaos drill or a failed flow raises :class:`ReproError` — the
+    parallel runner turns that into a typed
+    :class:`~repro.harness.parallel.TaskFailure` for the whole group.
+    A failed simulation becomes its own scenario's FAILED entry, the
+    one the runner reports for a task that raised it.
     """
-    corner = task.corner
+    from repro.harness.parallel import crash_report
+
+    corner = group.scenarios[0][0]
     if corner.chaos == "crash":
         raise FlowStageError(
             f"chaos corner {corner.name!r}: deliberate failure drill",
             stage="scenario",
-            circuit=task.circuit,
+            circuit=group.circuit,
         )
     if corner.chaos == "hang":
-        time.sleep(task.hang_s)
+        time.sleep(group.hang_s)
 
     outcome = run_flow(
-        task.policy,
-        task.netlist,
-        task.library,
-        task.overhead,
-        scheme=task.scheme,
-        guard=task.guard,
-        harden_fraction=task.harden_fraction,
-        store=task.store_dir,
+        group.policy,
+        group.netlist,
+        group.library,
+        group.overhead,
+        scheme=group.scheme,
+        guard=group.guard,
+        harden_fraction=group.harden_fraction,
+        store=group.store_dir,
     )
-    plan = build_injection_plan(
-        outcome.circuit.netlist,
-        task.scheme,
-        cycles=task.cycles,
-        seed=task.seed,
-        systematic=corner.systematic,
-        sigma=corner.sigma,
-        seu_rate=task.upset.seu_rate,
-        glitch_rate=task.upset.glitch_rate,
-        placement=outcome.retiming.placement,
-        label=f"{corner.name}/{task.upset.name}",
-    )
-    seeds = task.seeds or (task.seed,)
-    # One compile shared across the whole seed sweep; each report is
-    # comparison-identical to a per-seed estimate_error_rate call.
-    reports = estimate_error_rate_batched(
-        outcome.circuit,
-        outcome.retiming.placement,
-        outcome.edl_endpoints,
-        cycles=task.cycles,
-        seeds=seeds,
-        backend=task.sim_backend,
-        injection=plan,
-    )
-    if len(reports) == 1:
-        # Legacy single-seed blob shape, so existing state digests in
-        # memos stay valid.
-        states: Any = [
-            sorted(reports[0].final_flop_state.items()),
-            sorted(reports[0].final_latch_state.items()),
-        ]
-    else:
-        states = [
-            [
-                sorted(r.final_flop_state.items()),
-                sorted(r.final_latch_state.items()),
+    entries = []
+    for key, (corner, upset, seeds) in zip(group.keys, group.scenarios):
+        try:
+            plan = build_injection_plan(
+                outcome.circuit.netlist,
+                group.scheme,
+                cycles=group.cycles,
+                seed=seeds[0],
+                systematic=corner.systematic,
+                sigma=corner.sigma,
+                seu_rate=upset.seu_rate,
+                glitch_rate=upset.glitch_rate,
+                placement=outcome.retiming.placement,
+                label=f"{corner.name}/{upset.name}",
+            )
+            # One compile shared across the whole seed sweep; each
+            # report is comparison-identical to a per-seed
+            # estimate_error_rate call.
+            reports = estimate_error_rate_batched(
+                outcome.circuit,
+                outcome.retiming.placement,
+                outcome.edl_endpoints,
+                cycles=group.cycles,
+                seeds=seeds,
+                backend=group.sim_backend,
+                injection=plan,
+            )
+        except Exception as exc:  # noqa: BLE001 - reported as the runner would
+            crash = crash_report(exc)
+            message, error = crash["message"], crash["error"]
+            entries.append(_failed_entry(key, "crash", message, error=error))
+            continue
+        if len(reports) == 1:
+            # Legacy single-seed blob shape, so existing state digests
+            # in memos stay valid.
+            states: Any = [
+                sorted(reports[0].final_flop_state.items()),
+                sorted(reports[0].final_latch_state.items()),
             ]
-            for r in reports
-        ]
-    state_blob = json.dumps(states, separators=(",", ":"))
-    entry = {
-        "circuit": task.circuit,
-        "corner": corner.name,
-        "upset": task.upset.name,
-        "policy": task.policy,
-        "status": "ok",
-        "seed": task.seed,
-        "cycles": task.cycles,
-        "error_cycles": sum(r.error_cycles for r in reports),
-        "error_rate": sum(r.error_rate for r in reports) / len(reports),
-        "non_edl_violations": sum(
-            r.non_edl_violations for r in reports
-        ),
-        "n_edl": outcome.n_edl,
-        "n_slaves": outcome.n_slaves,
-        "total_area": outcome.total_area,
-        "injected": plan.counts(),
-        "state_digest": content_digest(state_blob, 16),
-    }
-    if len(seeds) > 1:
-        entry["seeds"] = list(seeds)
-        entry["per_seed_error_rates"] = [r.error_rate for r in reports]
-    return entry
+        else:
+            states = [
+                [
+                    sorted(r.final_flop_state.items()),
+                    sorted(r.final_latch_state.items()),
+                ]
+                for r in reports
+            ]
+        state_blob = json.dumps(states, separators=(",", ":"))
+        entry = {
+            "circuit": group.circuit,
+            "corner": corner.name,
+            "upset": upset.name,
+            "policy": group.policy,
+            "status": "ok",
+            "seed": seeds[0],
+            "cycles": group.cycles,
+            "error_cycles": sum(r.error_cycles for r in reports),
+            "error_rate": sum(r.error_rate for r in reports) / len(reports),
+            "non_edl_violations": sum(
+                r.non_edl_violations for r in reports
+            ),
+            "n_edl": outcome.n_edl,
+            "n_slaves": outcome.n_slaves,
+            "total_area": outcome.total_area,
+            "injected": plan.counts(),
+            "state_digest": content_digest(state_blob, 16),
+        }
+        if len(seeds) > 1:
+            entry["seeds"] = list(seeds)
+            entry["per_seed_error_rates"] = [r.error_rate for r in reports]
+        entries.append(entry)
+    return entries
 
 
 def _failed_entry(
@@ -351,12 +371,13 @@ def run_scenarios(
 ) -> ScenarioReport:
     """Run the scenario matrix; degrade gracefully, resume from memo.
 
-    Every (circuit, corner, upset, policy) combination runs once in a
-    killable worker process; crashes, strict-guard trips, worker
-    deaths, and deadline misses settle as typed FAILED entries (with
-    one retry for the transient kinds) and the sweep continues.  With
-    ``memo_path``, completed scenarios are checkpointed as they land
-    and skipped on re-runs (``retry_failed`` re-attempts FAILED ones).
+    Each (circuit, policy) group's missing scenarios run as one task
+    in a killable worker process (a chaos corner's scenarios one per
+    task); crashes, strict-guard trips, worker deaths, and deadline
+    misses settle as typed FAILED entries (with one retry for the
+    transient kinds) and the sweep continues.  With ``memo_path``,
+    settled scenarios are checkpointed as their task lands and
+    skipped on re-runs (``retry_failed`` re-attempts FAILED ones).
 
     ``n_seeds`` widens each scenario into a Monte-Carlo sweep over
     derived seeds sharing one simulator compile (lane 0 is the
@@ -425,84 +446,68 @@ def run_scenarios(
 
     started = time.perf_counter()
     all_keys: List[Tuple[str, str, str, str]] = []
-    tasks: List[ScenarioTask] = []
+    tasks: List[ScenarioGroup] = []
     for circuit_name, netlist in pairs:
+        keys = [
+            (circuit_name, corner, upset, policy)
+            for corner in corners for upset in upsets for policy in policies
+        ]
+        all_keys.extend(keys)
         try:
             scheme, _ = prepare_circuit(netlist, library)
         except (ReproError, ValueError, KeyError) as exc:
             # A circuit that cannot even prepare degrades to FAILED
             # entries across its whole sub-matrix.
-            for corner_name in corners:
-                for upset_name in upsets:
-                    for policy in policies:
-                        key = (circuit_name, corner_name, upset_name, policy)
-                        all_keys.append(key)
-                        entries[memo_cell_key(key)] = _failed_entry(
-                            key,
-                            kind="crash",
-                            message=str(exc),
-                            stage="prepare",
-                            error=(
-                                exc.to_dict()
-                                if isinstance(exc, ReproError)
-                                else None
-                            ),
-                        )
+            error = exc.to_dict() if isinstance(exc, ReproError) else None
+            for key in keys:
+                entries[memo_cell_key(key)] = _failed_entry(
+                    key, "crash", str(exc), stage="prepare", error=error
+                )
             continue
-        for corner_name in corners:
-            for upset_name in upsets:
-                for policy in policies:
-                    key = (circuit_name, corner_name, upset_name, policy)
-                    all_keys.append(key)
-                    existing = entries.get(memo_cell_key(key))
-                    if existing is not None and (
-                        existing.get("status") == "ok" or not retry_failed
-                    ):
-                        metrics.count("scenarios.memo_hits")
-                        continue
-                    lane_seeds = tuple(
-                        scenario_seed(
-                            seed, circuit_name, corner_name,
-                            upset_name, policy, lane=lane,
-                        )
-                        for lane in range(n_seeds)
-                    )
-                    tasks.append(
-                        ScenarioTask(
-                            circuit=circuit_name,
-                            corner=CORNERS[corner_name],
-                            upset=UPSETS[upset_name],
-                            policy=policy,
-                            netlist=netlist,
-                            scheme=scheme,
-                            library=library,
-                            overhead=overhead,
-                            cycles=cycles,
-                            seed=lane_seeds[0],
-                            seeds=lane_seeds,
-                            sim_backend=sim_backend,
-                            guard=guard,
-                            harden_fraction=harden_fraction,
-                            hang_s=hang_s,
-                            store_dir=store_dir,
-                        )
-                    )
+        groups: Dict[Tuple[str, ...], List[Scenario]] = {}
+        for key in keys:
+            existing = entries.get(memo_cell_key(key))
+            if existing is not None and (
+                existing.get("status") == "ok" or not retry_failed
+            ):
+                metrics.count("scenarios.memo_hits")
+                continue
+            _, corner, upset, policy = key
+            seeds = tuple(
+                scenario_seed(seed, *key, lane=lane) for lane in range(n_seeds)
+            )
+            # A chaos drill travels alone: it fails only its scenario.
+            group = key if CORNERS[corner].chaos else (policy,)
+            groups.setdefault(group, []).append(
+                (CORNERS[corner], UPSETS[upset], seeds)
+            )
+        tasks.extend(
+            ScenarioGroup(
+                circuit=circuit_name, policy=group[-1],
+                scenarios=tuple(scenarios), netlist=netlist, scheme=scheme,
+                library=library, overhead=overhead, cycles=cycles,
+                sim_backend=sim_backend, guard=guard,
+                harden_fraction=harden_fraction, hang_s=hang_s,
+                store_dir=store_dir,
+            )
+            for group, scenarios in groups.items()
+        )
 
     def settle(index: int, outcome: Any) -> None:
-        task = tasks[index]
-        if isinstance(outcome, dict):
-            entry = outcome
-        else:
-            # A TaskFailure from the deadline runner.
-            entry = _failed_entry(
-                task.key,
-                kind=outcome.kind,
-                message=outcome.message,
-                attempts=outcome.attempts,
-                error=outcome.error,
-            )
-            metrics.count(f"scenarios.failed.{outcome.kind}")
-        entries[memo_cell_key(task.key)] = entry
+        keys = tasks[index].keys
+        if not isinstance(outcome, list):
+            # A TaskFailure from the deadline runner fails the group.
+            outcome = [
+                _failed_entry(
+                    key, outcome.kind, outcome.message, outcome.attempts,
+                    error=outcome.error,
+                )
+                for key in keys
+            ]
+        for key, entry in zip(keys, outcome):
+            if entry["status"] != "ok":
+                metrics.count(f"scenarios.failed.{entry['failure_kind']}")
+            entries[memo_cell_key(key)] = entry
         memo.save(entries)
 
     if tasks:
@@ -511,7 +516,7 @@ def run_scenarios(
         from repro.harness.parallel import run_tasks_with_deadline
 
         run_tasks_with_deadline(
-            run_scenario,
+            run_scenario_group,
             tasks,
             jobs=jobs,
             deadline_s=deadline_s,

@@ -348,6 +348,49 @@ class TestParallelFailures:
                 suite, jobs=2, methods=("grar",), error_rates=False
             )
 
+    def test_planning_failures_are_listed_in_cell_order(self, library):
+        """A circuit that cannot be prepared settles its failed cells
+        while the tasks are planned; they are sorted with the rest."""
+        suite = ExperimentSuite(
+            circuits=["nosuch"], library=library, isolate=True
+        )
+        run_suite_parallel(
+            suite, jobs=1, methods=("base", "rvl", "grar"),
+            error_rates=False,
+        )
+        assert [(f.method, f.overhead) for f in suite.failures] == [
+            ("base", 1.0),
+            *(("grar", c) for c in sorted(c for _, c in LEVELS)),
+            ("rvl", 1.0),
+        ]
+
+    def test_failed_simulations_count_as_failed_cells(
+        self, library, monkeypatch
+    ):
+        suite = _tiny_suite(library, isolate=True)
+        original = vector.simulate
+
+        def simulate(kernel, *args, **kwargs):
+            if kernel.circuit.netlist.name == "bravo":
+                raise SimulationError("injected lane failure")
+            return original(kernel, *args, **kwargs)
+
+        monkeypatch.setattr(vector, "simulate", simulate)
+        summary = run_suite_parallel(
+            suite, jobs=2, methods=("base", "rvl", "grar"),
+            error_rates=True,
+        )
+        assert len(suite.failures) == 5
+        assert summary["n_failed"] == 5
+        failed = sorted(
+            (cell["circuit"], cell["method"], cell["overhead"])
+            for cell in summary["cells"]
+            if cell["failed"]
+        )
+        assert failed == [
+            (f.circuit_name, f.method, f.overhead) for f in suite.failures
+        ]
+
     def test_vi_d_alone_lists_the_failed_cells_like_the_sweep(
         self, library
     ):

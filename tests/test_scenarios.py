@@ -11,7 +11,10 @@ The tentpole guarantees under test:
 * the scenario matrix degrades gracefully — crashes and hangs become
   typed FAILED entries, retried where transient, checkpointed into a
   resumable memo — and identical invocations render byte-identical
-  reports.
+  reports;
+* the matrix runs one flow per (circuit, policy) group, and every
+  scenario of a group, failures included, renders the entry it gets
+  when run alone.
 """
 
 import json
@@ -23,7 +26,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.cells import default_library
 from repro.circuits.fig4 import fig4_netlist
 from repro.circuits.generator import CloudSpec, generate_circuit
-from repro.errors import SimulationError
+from repro.errors import FlowStageError, SimulationError
 from repro.flows import prepare_circuit, run_flow
 from repro.flows.tradeoff import error_rate_tradeoff
 from repro.retime import base_retime
@@ -583,7 +586,8 @@ class TestScenarioEngine:
         counters = collector.counters
         assert len(report.ok_entries) == 2
         assert counters["sim.batched.runs"] == len(report.ok_entries)
-        assert counters["flow.runs"] >= 1
+        # One (circuit, policy) flow; the chaos drills run none.
+        assert counters["flow.runs"] == 1
 
     def test_unpreparable_circuit_degrades_whole_submatrix(self):
         from repro.faults import corrupt_net
@@ -615,6 +619,205 @@ class TestScenarioEngine:
         assert "sim_backend" not in data
         assert "wall_s" not in data
         assert data["schema"] == "repro-scenarios/1"
+
+
+def _entry_text(entry):
+    return json.dumps(entry, indent=2, sort_keys=True)
+
+
+def _run_alone(entry):
+    """``entry``'s scenario run as a matrix of its own."""
+    (alone,) = _run_matrix(
+        corners=(entry["corner"],),
+        upsets=(entry["upset"],),
+        policies=(entry["policy"],),
+    ).entries
+    return alone
+
+
+def _counted_matrix(monkeypatch, **overrides):
+    """Run a matrix; return its report, its counters and how many
+    tasks it handed the runner."""
+    from repro import metrics
+    from repro.harness import parallel
+
+    runner = parallel.run_tasks_with_deadline
+    shipped = []
+
+    def counting_runner(worker, tasks, **kwargs):
+        shipped.append(len(tasks))
+        return runner(worker, tasks, **kwargs)
+
+    monkeypatch.setattr(
+        parallel, "run_tasks_with_deadline", counting_runner
+    )
+    collector = metrics.MetricsCollector()
+    with metrics.collect_into(collector):
+        report = _run_matrix(**overrides)
+    return report, collector.counters, sum(shipped)
+
+
+def _small_cloud():
+    spec = CloudSpec(
+        name="cloud", seed=41, n_inputs=4, n_outputs=3, n_flops=6,
+        n_gates=40, depth=5, critical_fraction=0.3,
+    )
+    return generate_circuit(spec, LIBRARY)
+
+
+class TestScenarioGroups:
+    """One flow per (circuit, policy): a group's scenarios render the
+    entries they get run alone, and only a chaos corner's scenarios
+    travel as tasks of their own."""
+
+    def test_grouped_entries_match_lone_runs(self, monkeypatch):
+        report, counters, tasks = _counted_matrix(
+            monkeypatch,
+            corners=("nominal", "sigma"),
+            upsets=("seu", "glitch"),
+            policies=("grar", "selective"),
+            jobs=2,
+        )
+        assert len(report.ok_entries) == 8
+        assert tasks == counters["flow.runs"] == 2
+        assert counters["sim.batched.runs"] == 8
+        for entry in report.entries:
+            assert _entry_text(entry) == _entry_text(_run_alone(entry))
+
+    def test_one_flow_per_circuit_and_policy(self, monkeypatch):
+        report, counters, tasks = _counted_matrix(
+            monkeypatch,
+            circuits=[("fig4", fig4_netlist()), ("cloud", _small_cloud())],
+            corners=("nominal", "sigma"),
+            upsets=("none", "seu"),
+            policies=("grar", "selective"),
+        )
+        assert len(report.ok_entries) == 16
+        assert tasks == counters["flow.runs"] == 4
+        assert counters["sim.batched.runs"] == 16
+
+    def test_partial_memo_reruns_only_the_missing_scenarios(
+        self, tmp_path, monkeypatch
+    ):
+        memo = tmp_path / "memo.json"
+        _run_matrix(upsets=("seu",), memo_path=memo)
+        resumed, counters, tasks = _counted_matrix(
+            monkeypatch, upsets=("seu", "glitch"), memo_path=memo
+        )
+        assert counters["scenarios.memo_hits"] == 1
+        assert tasks == counters["flow.runs"] == 1
+        assert counters["sim.batched.runs"] == 1
+        fresh = _run_matrix(upsets=("seu", "glitch"))
+        assert resumed.to_json() == fresh.to_json()
+
+    @pytest.mark.parametrize(
+        "exc, message, typed",
+        [
+            (SimulationError("injected lane failure"),
+             "injected lane failure", True),
+            (RuntimeError("injected lane failure"),
+             "RuntimeError: injected lane failure", False),
+        ],
+    )
+    def test_failed_simulation_fails_only_its_scenario(
+        self, monkeypatch, exc, message, typed
+    ):
+        from repro.scenarios import engine
+
+        original = engine.estimate_error_rate_batched
+
+        def estimate(*args, injection, **kwargs):
+            if injection.label.endswith("/glitch"):
+                raise exc
+            return original(*args, injection=injection, **kwargs)
+
+        monkeypatch.setattr(engine, "estimate_error_rate_batched", estimate)
+        report, counters, tasks = _counted_matrix(
+            monkeypatch, upsets=("seu", "glitch"),
+            policies=("grar", "selective"),
+        )
+        assert tasks == counters["flow.runs"] == 2
+        assert counters["scenarios.failed.crash"] == 2
+        assert [e["policy"] for e in report.ok_entries] == [
+            "grar", "selective"
+        ]
+        for entry in report.failed_entries:
+            # The entry the runner reports for a task that raised.
+            assert entry == {
+                "circuit": "fig4",
+                "corner": "nominal",
+                "upset": "glitch",
+                "policy": entry["policy"],
+                "status": "failed",
+                "failure_kind": "crash",
+                "attempts": 1,
+                "stage": None,
+                "message": message,
+                "error": exc.to_dict() if typed else None,
+            }
+        for entry in report.entries:
+            assert _entry_text(entry) == _entry_text(_run_alone(entry))
+
+    def test_failed_flow_fails_its_whole_group(self, monkeypatch):
+        from repro.scenarios import engine
+
+        original = engine.run_flow
+        exc = FlowStageError(
+            "injected flow failure", stage="retime", circuit="fig4"
+        )
+
+        def run_flow(method, *args, **kwargs):
+            if method == "selective":
+                raise exc
+            return original(method, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "run_flow", run_flow)
+        report, counters, _ = _counted_matrix(
+            monkeypatch, upsets=("seu", "glitch"),
+            policies=("grar", "selective"),
+        )
+        assert [e["policy"] for e in report.ok_entries] == ["grar"] * 2
+        assert counters["scenarios.failed.crash"] == 2
+        for entry in report.failed_entries:
+            assert entry["policy"] == "selective"
+            assert entry["failure_kind"] == "crash"
+            assert entry["attempts"] == 1
+            assert entry["stage"] == "retime"
+            assert entry["message"] == str(exc)
+            assert entry["error"] == exc.to_dict()
+            assert _entry_text(entry) == _entry_text(_run_alone(entry))
+
+    def test_chaos_crash_fails_only_its_own_scenarios(self, monkeypatch):
+        report, counters, tasks = _counted_matrix(
+            monkeypatch, corners=("nominal", "chaos-crash"),
+            upsets=("seu", "glitch"), policies=("grar", "selective"),
+        )
+        # Two (circuit, policy) groups, plus one task per drill.
+        assert tasks == 2 + 4
+        assert counters["flow.runs"] == 2
+        failed = report.failed_entries
+        assert len(failed) == 4
+        assert all(e["corner"] == "chaos-crash" for e in failed)
+        assert all(e["failure_kind"] == "crash" for e in failed)
+        assert all(e["attempts"] == 1 for e in failed)
+        clean = _run_matrix(
+            upsets=("seu", "glitch"), policies=("grar", "selective")
+        )
+        assert report.ok_entries == clean.entries
+
+    def test_chaos_hang_times_out_without_its_group(self):
+        report = _run_matrix(
+            corners=("nominal", "chaos-hang"),
+            deadline_s=1.5,
+            hang_s=60.0,
+            jobs=2,
+        )
+        (ok,) = report.ok_entries
+        assert ok["corner"] == "nominal"
+        (failed,) = report.failed_entries
+        assert failed["corner"] == "chaos-hang"
+        assert failed["failure_kind"] == "deadline"
+        assert failed["attempts"] == 2
 
 
 class TestScenarioCli:

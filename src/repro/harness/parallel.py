@@ -473,7 +473,12 @@ def run_suite_parallel(
         error_rates=error_rates,
     )
     started = time.perf_counter()
-    results: List[CellResult] = []
+    # Cells settled as failed while planning ran no task; the summary
+    # lists them all the same, at no wall time.
+    results: List[CellResult] = [
+        CellResult(f.circuit_name, f.method, f.overhead, error=f.error)
+        for f in suite.failures[known_failures:]
+    ]
     strict_errors: List[Tuple[Tuple[str, str, float], ReproError]] = []
 
     def settle(index: int, outcome: Any) -> None:

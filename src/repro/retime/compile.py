@@ -22,7 +22,9 @@ circuit and re-costs it per sweep point:
   hit across process boundaries.
 * :class:`CompiledRetiming` — regions + cut sets + graph skeleton,
   plus the previous sweep point's optimal simplex basis
-  (``last_basis``) so the next solve can warm-start.
+  (``last_basis``) so the next solve can warm-start.  A fresh miss
+  seeds ``last_basis`` from the most recent entry of the same circuit
+  and conflict policy, carried onto its own arcs by arc identity.
 
 Parity: with the cache *off* every solve recomputes and cold-starts —
 the bit-exact oracle.  With it *on*, :func:`recost_graph` reproduces
@@ -36,7 +38,7 @@ when the compiled problem was unpickled from disk.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro import metrics
 from repro.latches.resilient import TwoPhaseCircuit
@@ -120,24 +122,65 @@ def compile_retiming(
         cut_sets=cut_sets,
         skeleton=skeleton,
     )
-    # Seed the warm start from a sibling problem of the same circuit
-    # (e.g. the pristine problem, when the rescue pass resized a few
-    # gates and forced this miss): the simplex validates the basis
-    # shape and repairs primal feasibility, and the canonical dual
-    # potentials make the result independent of the seed.
+    # Seed the warm start from the most recent sibling problem of the
+    # same circuit (e.g. the pristine problem, when the rescue pass
+    # resized a few gates and forced this miss), carried over by arc
+    # identity: the simplex repairs the forest to primal feasibility,
+    # and the canonical dual potentials make the result independent
+    # of the seed.
     for other in reversed(store.memory_values(NAMESPACE)):
         if (
             other.circuit_name == entry.circuit_name
             and other.conflict_policy == entry.conflict_policy
             and other.last_basis is not None
-            and len(other.skeleton.nodes) == len(skeleton.nodes)
-            and len(other.skeleton.edges) == len(skeleton.edges)
         ):
-            entry.last_basis = other.last_basis
+            entry.last_basis = _translate_basis(
+                other.last_basis, other.skeleton, skeleton
+            )
             metrics.count("retime.compile.basis_seeded")
             break
     store.put(NAMESPACE, key, entry)
     return entry
+
+
+def _arc_identities(graph: RetimingGraph) -> List[Tuple[Any, ...]]:
+    """Per edge: ``(tail, head, weight, kind, occurrence)``, where
+    ``occurrence`` counts earlier edges with the same first four
+    fields.  The breadth is left out: a credit edge's moves with ``c``,
+    and no breadth enters the arc costs."""
+    seen: Dict[Tuple[Any, ...], int] = {}
+    identities = []
+    for edge in graph.edges:
+        key = (edge.tail, edge.head, edge.weight, edge.kind)
+        occurrence = seen.get(key, 0)
+        seen[key] = occurrence + 1
+        identities.append(key + (occurrence,))
+    return identities
+
+
+def _translate_basis(
+    basis: WarmBasis, old: RetimingGraph, new: RetimingGraph
+) -> WarmBasis:
+    """Carry ``basis`` (arc ids of ``old``) onto ``new``'s arc ids.
+
+    Arcs are matched by identity (:func:`_arc_identities`); basis arcs
+    ``new`` lacks are dropped.  A subset of a forest over the same
+    node names is still a forest, which the simplex re-roots and
+    repairs like any other warm basis.
+    """
+    position = {
+        identity: index
+        for index, identity in enumerate(_arc_identities(new))
+    }
+    old_identities = _arc_identities(old)
+    real_arcs = sorted(
+        position[old_identities[arc]]
+        for arc in basis.real_arcs
+        if old_identities[arc] in position
+    )
+    return WarmBasis(
+        n=len(new.nodes), m=len(new.edges), real_arcs=tuple(real_arcs)
+    )
 
 
 def clear_cache() -> None:

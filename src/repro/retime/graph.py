@@ -20,6 +20,7 @@ Edge sets:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -115,17 +116,28 @@ class RetimingGraph:
             Fraction(0),
         )
 
+    def breadth_scale(self) -> int:
+        """The lcm of the edge breadths' denominators: every breadth
+        is a whole number of ``1 / breadth_scale()`` units."""
+        return math.lcm(*{edge.breadth.denominator for edge in self.edges})
+
     def objective_value(self, r_values: Dict[str, int]) -> Fraction:
-        """``sum_e breadth(e) * w_r(e)`` for a label assignment."""
-        total = Fraction(0)
+        """``sum_e breadth(e) * w_r(e)`` for a label assignment.
+
+        Summed as an integer in ``1 / breadth_scale()`` units, divided
+        once.
+        """
+        scale = self.breadth_scale()
+        total = 0
         for edge in self.edges:
             if edge.kind is EdgeKind.BOUND:
                 continue
             w_r = edge.weight + r_values.get(edge.head, 0) - r_values.get(
                 edge.tail, 0
             )
-            total += edge.breadth * w_r
-        return total
+            beta = edge.breadth
+            total += beta.numerator * (scale // beta.denominator) * w_r
+        return Fraction(total, scale)
 
     def check_feasible(self, r_values: Dict[str, int]) -> List[GraphEdge]:
         """Edges violated by an assignment (should be empty)."""

@@ -42,7 +42,13 @@ from repro.errors import (
     SolverError,
     UnboundedFlowError,
 )
-from repro.retime.simplex import Arc, NetworkSimplex, Node, WarmBasis
+from repro.retime.simplex import (
+    _MAX_SCALE,
+    Arc,
+    NetworkSimplex,
+    Node,
+    WarmBasis,
+)
 
 try:  # pragma: no cover - import guard
     from scipy.optimize import linprog as _linprog
@@ -61,10 +67,6 @@ except ImportError:  # pragma: no cover
 
 #: Backend order of the default fallback chain.
 BACKENDS = ("simplex", "scipy", "networkx")
-
-#: Largest demand-denominator lcm the scaled-integer formulations
-#: accept (matches :class:`NetworkSimplex`'s internal threshold).
-_MAX_SCALE = 10**12
 
 
 @dataclass(frozen=True)

@@ -50,14 +50,21 @@ class FlowSolution:
 
 
 def build_demands(graph: RetimingGraph) -> Dict[str, Fraction]:
-    """Node demands ``X(v) = -B(v)`` from the breadths."""
-    demands: Dict[str, Fraction] = {name: Fraction(0) for name in graph.nodes}
+    """Node demands ``X(v) = -B(v)`` from the breadths.
+
+    Summed as integers in units of ``1 / scale`` (the lcm of the
+    breadth denominators), with one exact Fraction per node at the end.
+    """
+    scale = graph.breadth_scale()
+    scaled: Dict[str, int] = dict.fromkeys(graph.nodes, 0)
     for edge in graph.edges:
         # X(v) = -B(v); B(v) = sum_out beta - sum_in beta, so every
         # edge adds +beta to its tail's demand and -beta to its head's.
-        demands[edge.tail] -= edge.breadth
-        demands[edge.head] += edge.breadth
-    return demands
+        beta = edge.breadth
+        units = beta.numerator * (scale // beta.denominator)
+        scaled[edge.tail] -= units
+        scaled[edge.head] += units
+    return {name: Fraction(units, scale) for name, units in scaled.items()}
 
 
 def build_demands_paper_form(graph: RetimingGraph) -> Dict[str, Fraction]:
@@ -97,9 +104,10 @@ def solve_retiming_flow(
     ``policy`` configures the solver-fallback chain; by default the
     in-house network simplex answers, with scipy and networkx standing
     by should it break down.  ``warm_basis`` — an optimal basis from a
-    previous overhead of the *same compiled problem* — lets the
-    simplex skip its artificial cold start; the returned solution
-    carries the new optimal basis for the next sweep point.
+    previous overhead of the *same compiled problem*, or a sibling
+    problem's translated onto this graph's arcs — lets the simplex
+    skip its artificial cold start; the returned solution carries the
+    new optimal basis for the next sweep point.
     """
     demands = build_demands(graph)
     arcs: List[Tuple[str, str, int]] = [

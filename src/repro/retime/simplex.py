@@ -16,6 +16,11 @@ recovered retiming labels are integers (Section IV-D).
 The implementation is the textbook big-M artificial-root variant
 [Ahuja/Magnanti/Orlin ch. 11] with incremental tree re-rooting and a
 first-eligible entering rule with a Bland fallback for anti-cycling.
+Arc endpoints, costs, node potentials and the tree-membership mask are
+int64/uint8 NumPy arrays, so pricing a block of arcs is one vectorized
+reduced-cost pass; the constructor refuses (with a typed
+:class:`SolverError`, which the fallback chain answers) any instance
+whose potentials could overflow int64.
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro import metrics
 from repro.errors import (
@@ -53,15 +60,24 @@ __all__ = [
 #: pivot always checks, so ``deadline_s=0.0`` still aborts instantly.
 _DEADLINE_STRIDE = 64
 
+#: Largest value an int64 potential or reduced cost may take.
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+#: Largest demand-denominator lcm scaled to integer flows; beyond it
+#: the demands stay Fractions at scale 1 (the flow-only backends of
+#: :mod:`repro.retime.mincostflow` refuse such demands instead).
+_MAX_SCALE = 10**12
+
 
 @dataclass(frozen=True)
 class WarmBasis:
     """The real-arc part of an optimal spanning-tree basis.
 
     Arc ids index the *same* arc list a later solve is built from —
-    valid only across problems that share their arc structure (the
-    compiled-retiming sweep, where only demands change with the
-    overhead ``c``).  Nodes not covered by ``real_arcs`` hang off the
+    the compiled-retiming sweep, where only demands change with the
+    overhead ``c``, or a sibling problem's basis that
+    :mod:`repro.retime.compile` translated onto this arc list by arc
+    identity.  Nodes not covered by ``real_arcs`` hang off the
     artificial root, exactly as in a cold start.
     """
 
@@ -105,23 +121,36 @@ class NetworkSimplex:
         if len(self.index) != self.n:
             raise ValueError("duplicate node names")
 
-        self.tail: List[int] = []
-        self.head: List[int] = []
-        self.cost: List[int] = []
-        for tail, head, cost in arcs:
-            self.tail.append(self.index[tail])
-            self.head.append(self.index[head])
-            self.cost.append(int(cost))
-        self.m = len(self.tail)
+        index = self.index
+        tails = [index[tail] for tail, _, _ in arcs]
+        heads = [index[head] for _, head, _ in arcs]
+        costs = [int(cost) for _, _, cost in arcs]
+        self.m = len(tails)
+        cmax = max(map(abs, costs), default=0)
+        #: Cost of every artificial arc: dearer than any real path.
+        self.big_m = 1 + (self.n + 1) * max(1, cmax)
+        # A potential is a signed sum of at most n tree-arc costs and a
+        # reduced cost adds one more arc cost, so (n + 1) * big_m
+        # bounds every value the int64 arrays below ever hold.
+        if (self.n + 1) * self.big_m > _INT64_MAX:
+            raise SolverError(
+                f"arc costs up to {cmax} on {self.n} nodes could "
+                "overflow the int64 potentials"
+            )
+        self.tail = np.array(tails, dtype=np.int64)
+        self.head = np.array(heads, dtype=np.int64)
+        self.cost = np.array(costs, dtype=np.int64)
+        #: Endpoints of every arc, real then artificial (``m + v`` links
+        #: node ``v`` with the root), as plain ints for the tree walks;
+        #: the tree builders orient the artificial part.
+        self.arc_tail: List[int] = tails + [self.n] * self.n
+        self.arc_head: List[int] = heads + [self.n] * self.n
 
-        raw = [Fraction(0)] * self.n
-        total = Fraction(0)
+        raw: List[Fraction] = [Fraction(0)] * self.n
         for name, value in demands.items():
-            raw[self.index[name]] = Fraction(value)
-            total += Fraction(value)
-        if total != 0:
-            raise InfeasibleFlowError(
-                f"demands do not balance (sum = {total})"
+            raw[index[name]] = (
+                value if isinstance(value, (int, Fraction))
+                else Fraction(value)
             )
         # Scale demands to integers when the common denominator is
         # small (it is the lcm of the fanout degrees): integer flow
@@ -130,18 +159,22 @@ class NetworkSimplex:
         # ``scale`` is always an int — the overflow path keeps Fraction
         # demands at scale 1 instead of switching the type of the
         # attribute itself.
-        scale = 1
-        for value in raw:
-            scale = math.lcm(scale, value.denominator)
-            if scale > 10**12:
-                scale = 0
-                break
-        if scale:
+        scale = math.lcm(*{value.denominator for value in raw})
+        if scale <= _MAX_SCALE:
             self.scale: int = scale
-            self.demand = [int(v * scale) for v in raw]
+            self.demand = [
+                value.numerator * (scale // value.denominator)
+                for value in raw
+            ]
+            total = Fraction(sum(self.demand), scale)
         else:
             self.scale = 1
             self.demand = raw
+            total = sum(raw, Fraction(0))
+        if total != 0:
+            raise InfeasibleFlowError(
+                f"demands do not balance (sum = {total})"
+            )
         self.max_iterations = max_iterations or max(
             200000, 50 * (self.m + self.n)
         )
@@ -151,8 +184,8 @@ class NetworkSimplex:
         #: selection (see :mod:`repro.faults`), stressing the
         #: anti-cycling safeguards.  Never set in production flows.
         self.pivot_chaos = pivot_chaos
-        #: Optional basis from a previous solve of a structurally
-        #: identical problem; validated (and repaired to primal
+        #: Optional basis over this problem's arc list (see
+        #: :class:`WarmBasis`); validated (and repaired to primal
         #: feasibility) in :meth:`_build_warm_tree`.
         self.warm_basis = warm_basis
         #: True once a warm basis was accepted and installed.
@@ -172,13 +205,17 @@ class NetworkSimplex:
         ``deadline_s`` wall-clock budget turns pathological instances
         into a typed :class:`SolverTimeoutError` instead of a hang.
 
-        With a ``warm_basis`` the pivot loop starts from the previous
-        sweep point's optimal spanning tree instead of the big-M
-        artificial star: arc costs are identical across the sweep, so
-        the warm tree's potentials are already dual-feasible, and only
-        the primal repair of :meth:`_build_warm_tree` (plus big-M
-        pricing of any re-attached artificial arcs) stands between the
-        warm start and optimality — typically a handful of pivots.
+        With a ``warm_basis`` the pivot loop starts from a previous
+        optimal spanning tree instead of the big-M artificial star:
+        arc costs are identical across the sweep, so the warm tree's
+        potentials are already dual-feasible, and only the primal
+        repair of :meth:`_build_warm_tree` (plus big-M pricing of any
+        re-attached artificial arcs) stands between the warm start and
+        optimality — typically a handful of pivots.  A sibling
+        problem's basis, translated by arc identity, is not dual-feasible
+        in general but still starts far closer than the artificial star
+        (about a quarter of the cold pivots on s13207's post-rescue
+        re-solve).
         """
         if self.warm_basis is not None:
             metrics.count("simplex.warm_start")
@@ -247,19 +284,14 @@ class NetworkSimplex:
     def _build_initial_tree(self) -> None:
         n, m = self.n, self.m
         root = n  # artificial root node
-        cmax = max([abs(c) for c in self.cost], default=0)
-        big_m = 1 + (n + 1) * max(1, cmax)
+        big_m = self.big_m
 
-        # Artificial arcs: index m + v connects node v with the root.
-        self.art_tail: List[int] = []
-        self.art_head: List[int] = []
         self.flow: Dict[int, Fraction] = {}
         self.parent: List[int] = [root] * (n + 1)
         self.parent_arc: List[int] = [-1] * (n + 1)
         self.depth: List[int] = [1] * (n + 1)
-        self.pot: List[int] = [0] * (n + 1)
+        pot = [0] * (n + 1)
         self.children: List[set] = [set() for _ in range(n + 1)]
-        self.big_m = big_m
 
         self.parent[root] = -1
         self.parent_arc[root] = -1
@@ -269,23 +301,21 @@ class NetworkSimplex:
             arc_id = m + v
             if self.demand[v] >= 0:
                 # Node needs inflow: artificial arc root -> v.
-                self.art_tail.append(root)
-                self.art_head.append(v)
+                self._orient_artificial(v, inflow=True)
                 self.flow[arc_id] = self.demand[v]
-                self.pot[v] = -big_m
+                pot[v] = -big_m
             else:
-                self.art_tail.append(v)
-                self.art_head.append(root)
+                self._orient_artificial(v, inflow=False)
                 self.flow[arc_id] = -self.demand[v]
-                self.pot[v] = big_m
+                pot[v] = big_m
             self.parent[v] = root
             self.parent_arc[v] = arc_id
             self.children[root].add(v)
+        self.pot = np.array(pot, dtype=np.int64)
         # Arc-indexed membership mask (real arcs then artificials):
-        # O(1) branch-free lookups in the pricing loop.
-        self.in_tree = bytearray(m + n)
-        for arc_id in range(m, m + n):
-            self.in_tree[arc_id] = 1
+        # pricing masks tree arcs out of a block with it.
+        self.in_tree = np.zeros(m + n, dtype=np.uint8)
+        self.in_tree[m:] = 1
 
     def _build_warm_tree(self, basis: WarmBasis) -> bool:
         """Install a previous optimal basis; returns False to cold-start.
@@ -320,7 +350,7 @@ class NetworkSimplex:
         for arc in basis.real_arcs:
             if not 0 <= arc < m:
                 return False
-            u, v = self.tail[arc], self.head[arc]
+            u, v = self.arc_tail[arc], self.arc_head[arc]
             ru, rv = find(u), find(v)
             if ru == rv:
                 return False  # cycle: not a forest
@@ -328,26 +358,17 @@ class NetworkSimplex:
             adjacency[u].append((v, arc))
             adjacency[v].append((u, arc))
 
-        cmax = max([abs(c) for c in self.cost], default=0)
-        self.big_m = 1 + (n + 1) * max(1, cmax)
-        self.art_tail = []
-        self.art_head = []
         for v in range(n):
             # Default orientation (as in a cold start); attachment
             # points below re-orient their own artificial arc freely.
-            if self.demand[v] >= 0:
-                self.art_tail.append(root)
-                self.art_head.append(v)
-            else:
-                self.art_tail.append(v)
-                self.art_head.append(root)
+            self._orient_artificial(v, inflow=self.demand[v] >= 0)
         self.flow = {}
         self.parent = [root] * (n + 1)
         self.parent[root] = -1
         self.parent_arc = [-1] * (n + 1)
         self.depth = [0] * (n + 1)
         self.children = [set() for _ in range(n + 1)]
-        self.in_tree = bytearray(m + n)
+        self.in_tree = np.zeros(m + n, dtype=np.uint8)
 
         # Each forest component hangs off the root via the artificial
         # arc of its smallest node (deterministic attachment).
@@ -389,17 +410,14 @@ class NetworkSimplex:
             arc = self.parent_arc[v]
             if arc < m:
                 p = self.parent[v]
-                value = s if self.head[arc] == v else -s
+                value = s if self.arc_head[arc] == v else -s
                 if value < 0:
                     # Wrong orientation for the new demands: re-route
                     # this subtree through v's artificial arc.
                     self.children[p].discard(v)
                     self.in_tree[arc] = 0
                     art = m + v
-                    if s >= 0:
-                        self.art_tail[v], self.art_head[v] = root, v
-                    else:
-                        self.art_tail[v], self.art_head[v] = v, root
+                    self._orient_artificial(v, inflow=s >= 0)
                     self.parent[v] = root
                     self.parent_arc[v] = art
                     self.children[root].add(v)
@@ -409,29 +427,25 @@ class NetworkSimplex:
                     self.flow[arc] = value
                     subtree[p] += s
             else:
-                a = arc - m
-                if s >= 0:
-                    self.art_tail[a], self.art_head[a] = root, v
-                    self.flow[arc] = s
-                else:
-                    self.art_tail[a], self.art_head[a] = v, root
-                    self.flow[arc] = -s
+                self._orient_artificial(v, inflow=s >= 0)
+                self.flow[arc] = s if s >= 0 else -s
 
         # Depth and potentials from the final tree: every tree arc
         # gets reduced cost zero.
-        self.pot = [0] * (n + 1)
+        pot = [0] * (n + 1)
         stack = [root]
         while stack:
             u = stack.pop()
             for v in self.children[u]:
                 arc = self.parent_arc[v]
-                cost = self.cost[arc] if arc < m else self.big_m
-                if self._arc_tail(arc) == u:
-                    self.pot[v] = self.pot[u] - cost
+                cost = self._arc_cost(arc)
+                if self.arc_tail[arc] == u:
+                    pot[v] = pot[u] - cost
                 else:
-                    self.pot[v] = self.pot[u] + cost
+                    pot[v] = pot[u] + cost
                 self.depth[v] = self.depth[u] + 1
                 stack.append(v)
+        self.pot = np.array(pot, dtype=np.int64)
         return True
 
     def export_basis(self) -> WarmBasis:
@@ -439,36 +453,44 @@ class NetworkSimplex:
         return WarmBasis(
             n=self.n,
             m=self.m,
-            real_arcs=tuple(
-                arc for arc in range(self.m) if self.in_tree[arc]
-            ),
+            real_arcs=tuple(np.flatnonzero(self.in_tree[: self.m]).tolist()),
         )
 
     # -- arc helpers --------------------------------------------------------
 
-    def _arc_tail(self, arc: int) -> int:
-        if arc < self.m:
-            return self.tail[arc]
-        return self.art_tail[arc - self.m]
-
-    def _arc_head(self, arc: int) -> int:
-        if arc < self.m:
-            return self.head[arc]
-        return self.art_head[arc - self.m]
+    def _orient_artificial(self, v: int, inflow: bool) -> None:
+        """Point node ``v``'s artificial arc from the root (``inflow``)
+        or to it."""
+        arc, root = self.m + v, self.n
+        if inflow:
+            self.arc_tail[arc], self.arc_head[arc] = root, v
+        else:
+            self.arc_tail[arc], self.arc_head[arc] = v, root
 
     def _arc_cost(self, arc: int) -> int:
         if arc < self.m:
-            return self.cost[arc]
+            return int(self.cost[arc])
         return self.big_m
 
     def _reduced_cost(self, arc: int) -> int:
         return (
             self._arc_cost(arc)
-            - self.pot[self._arc_tail(arc)]
-            + self.pot[self._arc_head(arc)]
+            - int(self.pot[self.arc_tail[arc]])
+            + int(self.pot[self.arc_head[arc]])
         )
 
     # -- pivoting --------------------------------------------------------------
+
+    def _reduced_costs(self, lo: int, hi: int) -> np.ndarray:
+        """Reduced costs of real arcs ``lo .. hi - 1``, with tree arcs
+        read as 0 so that pricing never picks one."""
+        rc = (
+            self.cost[lo:hi]
+            - self.pot[self.tail[lo:hi]]
+            + self.pot[self.head[lo:hi]]
+        )
+        rc[self.in_tree[lo:hi] != 0] = 0
+        return rc
 
     def _find_entering(self, cursor: int, bland: bool) -> Optional[int]:
         """Entering-arc pricing.
@@ -476,57 +498,42 @@ class NetworkSimplex:
         Default: block search — scan a window from the rotating cursor
         and take its most negative reduced cost (Dantzig-within-block,
         a standard network-simplex compromise between pivot count and
-        pricing cost).  Bland mode: first eligible arc by index, which
-        guarantees termination under degeneracy.
+        pricing cost), the first of equals in scan order.  Bland mode:
+        first eligible arc by index, which guarantees termination under
+        degeneracy.  Each window is priced in one vectorized pass.
 
         Artificial arcs never re-enter: their big-M cost keeps their
         reduced cost non-negative once they leave the basis.
         """
         m = self.m
-        # Local bindings: the pricing scan is the solver's hottest
-        # loop, and attribute lookups dominate it otherwise.
-        tail, head = self.tail, self.head
-        cost, pot, in_tree = self.cost, self.pot, self.in_tree
-        if bland:
-            for arc in range(m):
-                if not in_tree[arc] and (
-                    cost[arc] - pot[tail[arc]] + pot[head[arc]] < 0
-                ):
-                    return arc
-            return None
-        if self.pivot_chaos is not None:
+        if bland or self.pivot_chaos is not None:
+            eligible = np.flatnonzero(self._reduced_costs(0, m) < 0)
+            if not len(eligible):
+                return None
+            if bland:
+                return int(eligible[0])
             # Fault injection: pick a random eligible arc instead of
             # the best one — maximizes degenerate pivots and exercises
             # the cycling detection.
-            eligible = [
-                arc
-                for arc in range(m)
-                if not in_tree[arc] and (
-                    cost[arc] - pot[tail[arc]] + pot[head[arc]] < 0
-                )
-            ]
-            if not eligible:
-                return None
-            return self.pivot_chaos.choice(eligible)
+            return self.pivot_chaos.choice(eligible.tolist())
         block = max(64, m // 40)
         scanned = 0
         position = cursor
         while scanned < m:
-            best = None
-            best_rc = 0
             upper = min(block, m - scanned)
-            for offset in range(upper):
-                arc = (position + offset) % m
-                if in_tree[arc]:
-                    continue
-                rc = cost[arc] - pot[tail[arc]] + pot[head[arc]]
-                if rc < best_rc:
-                    best_rc = rc
-                    best = arc
-            if best is not None:
-                return best
+            end = position + upper
+            if end <= m:
+                rc = self._reduced_costs(position, end)
+            else:  # the window wraps around to arc 0
+                rc = np.concatenate((
+                    self._reduced_costs(position, m),
+                    self._reduced_costs(0, end - m),
+                ))
+            best = int(rc.argmin())
+            if rc[best] < 0:
+                return (position + best) % m
             scanned += upper
-            position = (position + upper) % m
+            position = end % m
         return None
 
     def _cycle(self, entering: int):
@@ -536,8 +543,8 @@ class NetworkSimplex:
         flow when pushing along the entering arc's direction, backward
         arcs lose flow.
         """
-        u = self._arc_tail(entering)
-        v = self._arc_head(entering)
+        u = self.arc_tail[entering]
+        v = self.arc_head[entering]
         forward = [entering]
         backward: List[int] = []
         a, b = u, v
@@ -547,7 +554,7 @@ class NetworkSimplex:
         while a != b:
             if self.depth[a] >= self.depth[b]:
                 arc = self.parent_arc[a]
-                if self._arc_tail(arc) == a:
+                if self.arc_tail[arc] == a:
                     # arc points a -> parent; cycle traverses parent -> a.
                     backward.append(arc)
                 else:
@@ -555,7 +562,7 @@ class NetworkSimplex:
                 a = self.parent[a]
             else:
                 arc = self.parent_arc[b]
-                if self._arc_tail(arc) == b:
+                if self.arc_tail[arc] == b:
                     forward.append(arc)
                 else:
                     backward.append(arc)
@@ -598,7 +605,7 @@ class NetworkSimplex:
     def _replace(self, leaving: int, entering: int) -> None:
         """Swap the leaving tree arc for the entering arc."""
         # Child endpoint of the leaving arc (the deeper one).
-        lt, lh = self._arc_tail(leaving), self._arc_head(leaving)
+        lt, lh = self.arc_tail[leaving], self.arc_head[leaving]
         child = lt if self.depth[lt] > self.depth[lh] else lh
         parent = self.parent[child]
         if self.parent_arc[child] != leaving:
@@ -612,10 +619,14 @@ class NetworkSimplex:
         self.in_tree[leaving] = 0
         self.flow.pop(leaving, None)
 
-        # Entering arc endpoints: exactly one lies in T2.
-        eu, ev = self._arc_tail(entering), self._arc_head(entering)
-        in_t2 = self._collect_subtree(child)
-        if eu in in_t2:
+        # Entering arc endpoints: exactly one lies in T2, the one whose
+        # ancestor at the child's depth is the child itself.
+        eu, ev = self.arc_tail[entering], self.arc_head[entering]
+        depth, parent_of = self.depth, self.parent
+        node = eu
+        while depth[node] > depth[child]:
+            node = parent_of[node]
+        if node == child:
             attach_t2, attach_t1 = eu, ev
             delta = self._reduced_cost(entering)
         else:
@@ -646,24 +657,15 @@ class NetworkSimplex:
         self.flow.setdefault(entering, 0)
 
         # Refresh depth and potentials of the re-rooted subtree.
+        children = self.children
+        subtree = []
         stack = [attach_t2]
         while stack:
             node = stack.pop()
-            par = self.parent[node]
-            self.depth[node] = self.depth[par] + 1
-            self.pot[node] += delta
-            stack.extend(self.children[node])
-
-    def _collect_subtree(self, root_node: int) -> set:
-        seen = {root_node}
-        stack = [root_node]
-        while stack:
-            node = stack.pop()
-            for kid in self.children[node]:
-                if kid not in seen:
-                    seen.add(kid)
-                    stack.append(kid)
-        return seen
+            depth[node] = depth[parent_of[node]] + 1
+            subtree.append(node)
+            stack.extend(children[node])
+        self.pot[subtree] += delta
 
     # -- extraction ------------------------------------------------------------
 
@@ -675,21 +677,24 @@ class NetworkSimplex:
                     f"artificial arc at node {self.node_names[v]!r} "
                     f"carries flow — demands unreachable"
                 )
-        # Scale flows back to the caller's (possibly fractional) units.
-        flows = {
-            arc: Fraction(value, 1) / self.scale
+        # Scale flows back to the caller's (possibly fractional) units;
+        # the objective is summed in scaled units and divided once.
+        scaled = {
+            arc: value
             for arc, value in self.flow.items()
             if arc < self.m and value != 0
         }
-        objective = sum(
-            (value * self.cost[arc] for arc, value in flows.items()),
-            Fraction(0),
+        flows = {
+            arc: Fraction(value, self.scale) for arc, value in scaled.items()
+        }
+        cost = self.cost.tolist()
+        objective = Fraction(
+            sum(value * cost[arc] for arc, value in scaled.items()),
+            self.scale,
         )
         # Normalize potentials to the artificial root at 0; callers
         # re-normalize to their own host node.
-        potentials = {
-            name: self.pot[i] for i, name in enumerate(self.node_names)
-        }
+        potentials = dict(zip(self.node_names, self.pot[: self.n].tolist()))
         return SimplexResult(
             flows=flows,
             potentials=potentials,

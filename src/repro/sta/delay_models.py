@@ -43,11 +43,15 @@ class DelayCalculator:
         self.load_model = load_model or LoadModel()
         self._loads: Dict[str, float] = {}
         self._slews: Dict[str, float] = {}
+        #: Arc delays keyed ``(driver, sink)``; every key is an arc of
+        #: the netlist as of the last refresh (see :meth:`edge_delay`).
         self._edge_cache: Dict[Tuple[str, str], float] = {}
         self._dirty = True
         #: Gates whose load/slew/arcs must be repaired before the next
         #: query (fed by netlist change events, drained by _refresh).
         self._pending_dirty: Set[str] = set()
+        #: True once a pending event changed connectivity.
+        self._pending_structural = False
         netlist.subscribe(self)
 
     # -- cache management ---------------------------------------------
@@ -59,12 +63,35 @@ class DelayCalculator:
         self._pending_dirty |= event.dirty_gates(self.netlist)
         # Removed gates keep no cache entries either.
         self._pending_dirty.update(event.removed_gates())
+        self._pending_structural |= event.structural
 
     def invalidate(self) -> None:
         """Drop caches after a netlist mutation (e.g. sizing)."""
         self._dirty = True
         self._edge_cache.clear()
         self._pending_dirty.clear()
+        self._pending_structural = False
+
+    def _evict_arcs(self, dirty: Set[str], structural: bool) -> None:
+        """Drop every cached delay of an arc into or out of ``dirty``.
+
+        After cell swaps alone the netlist's arcs are the ones the
+        cached keys were made from, so walking each dirty gate's
+        fanouts and fanins finds exactly the keys a scan would.  A
+        structural change may have removed a cached arc (or a dirty
+        gate), so it scans the whole cache instead.
+        """
+        cache = self._edge_cache
+        if structural:
+            for key in [k for k in cache if k[0] in dirty or k[1] in dirty]:
+                del cache[key]
+            return
+        netlist = self.netlist
+        for name in dirty:
+            for user in netlist.fanouts(name):
+                cache.pop((name, user), None)
+            for driver in netlist[name].fanins:
+                cache.pop((driver, name), None)
 
     def _refresh(self) -> None:
         if self._dirty:
@@ -74,6 +101,7 @@ class DelayCalculator:
             self._slews = self._compute_slews()
             self._dirty = False
             self._pending_dirty.clear()
+            self._pending_structural = False
             return
         if self._pending_dirty:
             self._apply_patch()
@@ -86,7 +114,9 @@ class DelayCalculator:
         rebuilt one.
         """
         dirty = self._pending_dirty
+        structural = self._pending_structural
         self._pending_dirty = set()
+        self._pending_structural = False
         self.load_model.patch_loads(
             self.netlist, self.library, self._loads, dirty
         )
@@ -98,12 +128,7 @@ class DelayCalculator:
             if gate.gtype is GateType.OUTPUT:
                 continue
             self._slews[name] = self._slew_of(gate)
-        for key in [
-            k
-            for k in self._edge_cache
-            if k[0] in dirty or k[1] in dirty
-        ]:
-            del self._edge_cache[key]
+        self._evict_arcs(dirty, structural)
 
     def _slew_of(self, gate: Gate) -> float:
         """Worst output slew of one gate at its current load."""
@@ -143,11 +168,17 @@ class DelayCalculator:
         return self._slews.get(name, self.load_model.source_slew)
 
     def edge_delay(self, driver: str, sink: str) -> float:
-        """Delay of gate ``sink`` when driven from ``driver``."""
+        """Delay of gate ``sink`` when driven from ``driver``.
+
+        Refuses a pair that is not a netlist arc, so only arcs are
+        ever cached (which is what lets eviction walk them).
+        """
         self._refresh()
         key = (driver, sink)
         cached = self._edge_cache.get(key)
         if cached is None:
+            if driver not in self.netlist[sink].fanins:
+                raise KeyError(f"{driver!r} does not drive {sink!r}")
             cached = self._compute_edge(driver, sink)
             self._edge_cache[key] = cached
         return cached
@@ -207,10 +238,7 @@ class PathBasedCalculator(DelayCalculator):
                 [f"gate {gate.name!r}: cell {gate.cell!r} is not "
                  f"combinational"]
             )
-        transitions = self.transition_edges(driver, sink)
-        if not transitions:
-            raise KeyError(f"{driver!r} does not drive {sink!r}")
-        return max(delay for _, _, delay in transitions)
+        return max(delay for _, _, delay in self.transition_edges(driver, sink))
 
     def transition_edges(self, driver: str, sink: str):
         """Valid (input_rising, output_rising, delay) triples.
@@ -282,10 +310,7 @@ class FixedDelayCalculator(DelayCalculator):
     def on_netlist_event(self, event: NetlistEvent) -> None:
         """Evict arcs touching changed gates (delays are load-free)."""
         dirty = event.dirty_gates(self.netlist) | set(event.removed_gates())
-        for key in [
-            k for k in self._edge_cache if k[0] in dirty or k[1] in dirty
-        ]:
-            del self._edge_cache[key]
+        self._evict_arcs(dirty, event.structural)
 
     def invalidate(self) -> None:
         """Drop caches after a netlist mutation (e.g. sizing)."""

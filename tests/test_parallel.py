@@ -27,11 +27,15 @@ from repro.sim import vector
 from repro.store import MEMO_SCHEMA, decode_memo_cell_key, memo_cell_key
 
 
-def _tiny_suite(library, memo_path=None, isolate=False, circuits=2, **kw):
+def _tiny_suite(
+    library, memo_path=None, isolate=False, circuits=2, missing=(), **kw
+):
+    """``circuits`` generated circuits, then the ``missing`` names,
+    which have no netlist and fail to prepare."""
     names = ["alpha", "bravo", "charlie"][:circuits]
     kw.setdefault("error_rate_cycles", 16)
     suite = ExperimentSuite(
-        circuits=names,
+        circuits=names + list(missing),
         library=library,
         isolate=isolate,
         memo_path=memo_path,
@@ -363,6 +367,27 @@ class TestParallelFailures:
             *(("grar", c) for c in sorted(c for _, c in LEVELS)),
             ("rvl", 1.0),
         ]
+
+    def test_planning_failures_join_the_summary(self, library):
+        """Cells settled as failed while planning ran no task, yet the
+        summary counts and lists them."""
+        suite = _tiny_suite(
+            library, isolate=True, circuits=1, missing=["nosuch"]
+        )
+        summary = run_suite_parallel(
+            suite, jobs=1, methods=("base",), error_rates=False
+        )
+        assert [
+            (f.circuit_name, f.method, f.overhead) for f in suite.failures
+        ] == [("nosuch", "base", 1.0)]
+        assert summary["n_cells"] == 2
+        assert summary["n_failed"] == 1
+        failed = [cell for cell in summary["cells"] if cell["failed"]]
+        assert [
+            (cell["circuit"], cell["method"], cell["overhead"],
+             cell["wall_s"])
+            for cell in failed
+        ] == [("nosuch", "base", 1.0, 0.0)]
 
     def test_failed_simulations_count_as_failed_cells(
         self, library, monkeypatch

@@ -14,6 +14,7 @@ Covers the sweep-aware retiming tentpole:
   their nested retiming result too.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -34,7 +35,10 @@ from repro.retime import (
     grar_retime,
     recost_graph,
 )
+from repro.retime.compile import _translate_basis
 from repro.retime.graph import EdgeKind
+from repro.retime.netflow import solve_retiming_flow
+from repro.synth.sizing import speed_paths
 
 SWEEP = (0.5, 1.0, 2.0)
 
@@ -276,6 +280,84 @@ class TestSweepParity:
             for c in SWEEP:
                 cold = grar_retime(circuit, c, retime_cache=False)
                 assert _result_key(warm[(name, c)]) == _result_key(cold)
+
+
+def _shape(graph):
+    return len(graph.nodes), len(graph.edges)
+
+
+class TestSeededAfterResize:
+    """A rescue-style resize reshapes the problem (other regions, cut
+    sets, node and edge counts); the miss seeds its warm start from
+    the pristine problem by arc identity and still equals the cold
+    oracle."""
+
+    def test_seeded_solve_matches_the_cold_oracle(self, library):
+        for spec in SPECS:
+            clear_cache()
+            _, circuit = prepare_circuit(
+                generate_circuit(spec, library), library
+            )
+            grar_retime(circuit, 1.0, retime_cache=True)
+            pristine = compile_retiming(circuit, 1.0)
+            # Speed up the three latest endpoints by 15%, as the
+            # rescue pass speeds up the endpoints it saves.
+            arrivals = circuit.engine.endpoint_arrivals()
+            worst = sorted(arrivals, key=arrivals.get, reverse=True)[:3]
+            resized = speed_paths(
+                circuit, {e: 0.85 * arrivals[e] for e in worst}
+            ).resized
+            assert resized
+
+            collector = metrics.MetricsCollector()
+            with metrics.collect_into(collector):
+                warm = grar_retime(circuit, 1.0, retime_cache=True)
+            cold = grar_retime(circuit, 1.0, retime_cache=False)
+            assert _result_key(warm) == _result_key(cold)
+            counters = collector.counters
+            assert counters["retime.compile.misses"] == 1
+            assert counters["retime.compile.basis_seeded"] == 1
+            assert counters["simplex.warm_start"] == 1
+            assert counters["simplex.basis_reused"] == 1
+
+            # Every label, pseudo and mirror nodes included.
+            entry = compile_retiming(circuit, 1.0)
+            assert _shape(entry.skeleton) != _shape(pristine.skeleton)
+            seeded = solve_retiming_flow(
+                entry.skeleton,
+                warm_basis=_translate_basis(
+                    pristine.last_basis, pristine.skeleton, entry.skeleton
+                ),
+            )
+            regions = compute_regions(circuit)
+            oracle = solve_retiming_flow(
+                build_retiming_graph(
+                    circuit, regions,
+                    cut_sets=compute_cut_sets(circuit, regions),
+                    overhead=1.0,
+                )
+            )
+            assert seeded.r_values == oracle.r_values
+            assert seeded.objective == oracle.objective
+
+    def test_translation_keeps_only_arcs_the_new_graph_has(self, circuits):
+        circuit = circuits[0]
+        grar_retime(circuit, 1.0, retime_cache=True)
+        entry = compile_retiming(circuit, 1.0)
+        basis = entry.last_basis
+        same = _translate_basis(basis, entry.skeleton, entry.skeleton)
+        assert same == basis
+        # Dropping edges renumbers the rest; the basis follows them by
+        # identity and loses exactly the dropped ones.
+        kept = entry.skeleton.edges[::2]
+        thinned = replace(entry.skeleton, edges=kept)
+        moved = _translate_basis(basis, entry.skeleton, thinned)
+        assert (moved.n, moved.m) == (len(thinned.nodes), len(kept))
+        assert [kept[arc] for arc in moved.real_arcs] == [
+            entry.skeleton.edges[arc]
+            for arc in basis.real_arcs
+            if arc % 2 == 0
+        ]
 
 
 class TestTradeoffParity:

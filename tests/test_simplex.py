@@ -1,11 +1,14 @@
 """Tests for the network-simplex min-cost-flow solver."""
 
+import random
 from fractions import Fraction
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import ReproError, SolverError
+from repro.retime.mincostflow import SolverPolicy, solve_min_cost_flow
 from repro.retime.simplex import (
     InfeasibleFlowError,
     NetworkSimplex,
@@ -264,3 +267,228 @@ class TestWarmStart:
         result = warm.solve()
         assert warm.verify(result) == []
         assert result.objective == oracle.objective
+
+
+# -- pricing: the vectorized pass against the per-arc loop -------------------
+
+
+def _loop_find_entering(self, cursor, bland):
+    """The per-arc pricing loop the vectorized pass replaced: the
+    oracle for the entering arc of every pivot."""
+    m = self.m
+    tail, head, cost, pot, in_tree = (
+        self.tail, self.head, self.cost, self.pot, self.in_tree
+    )
+
+    def eligible(arc):
+        return not in_tree[arc] and (
+            cost[arc] - pot[tail[arc]] + pot[head[arc]] < 0
+        )
+
+    if bland:
+        return next((arc for arc in range(m) if eligible(arc)), None)
+    if self.pivot_chaos is not None:
+        candidates = [arc for arc in range(m) if eligible(arc)]
+        return self.pivot_chaos.choice(candidates) if candidates else None
+    block = max(64, m // 40)
+    scanned, position = 0, cursor
+    while scanned < m:
+        best, best_rc = None, 0
+        upper = min(block, m - scanned)
+        for offset in range(upper):
+            arc = (position + offset) % m
+            if in_tree[arc]:
+                continue
+            rc = cost[arc] - pot[tail[arc]] + pot[head[arc]]
+            if rc < best_rc:
+                best_rc, best = rc, arc
+        if best is not None:
+            return best
+        scanned += upper
+        position = (position + upper) % m
+    return None
+
+
+@st.composite
+def priced_instances(draw):
+    """Instances past one pricing block (more than 64 arcs): integer
+    costs with negative ones, fractional demands, and a second demand
+    vector for a warm start."""
+    n = draw(st.integers(min_value=6, max_value=24))
+    nodes = [f"v{i}" for i in range(n)]
+    arcs = []
+    for i in range(n - 1):
+        arcs.append((nodes[i], nodes[i + 1], draw(st.integers(0, 12))))
+        arcs.append((nodes[i + 1], nodes[i], draw(st.integers(0, 12))))
+    for _ in range(draw(st.integers(min_value=64, max_value=160))):
+        a, b = draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes))
+        if a != b:
+            arcs.append((a, b, draw(st.integers(-3, 12))))
+    fraction = st.builds(
+        Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 6])
+    )
+
+    def demand_vector():
+        values = [draw(fraction) for _ in range(n - 1)]
+        return dict(zip(nodes, values + [-sum(values)]))
+
+    return nodes, arcs, demand_vector(), demand_vector()
+
+
+def _run(nodes, arcs, demands, **kwargs):
+    """A solve's observable trace: the result or the raised error."""
+    chaos_seed = kwargs.pop("chaos_seed", None)
+    if chaos_seed is not None:
+        kwargs["pivot_chaos"] = random.Random(chaos_seed)
+    simplex = NetworkSimplex(nodes, arcs, demands, **kwargs)
+    try:
+        result = simplex.solve()
+    except ReproError as exc:
+        return ("raised", type(exc).__name__, str(exc), exc.payload)
+    return (
+        result.iterations,
+        result.degenerate_pivots,
+        result.bland_used,
+        result.flows,
+        result.potentials,
+        result.objective,
+        simplex.export_basis(),
+    )
+
+
+class TestVectorizedPricing:
+    """The vectorized pricing picks the loop's entering arc at every
+    pivot, so every solve traces identically."""
+
+    @given(
+        priced_instances(),
+        st.sampled_from(["cold", "warm", "bland", "chaos"]),
+        st.integers(2, 40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_same_pivots_as_the_per_arc_loop(self, instance, mode, knob):
+        nodes, arcs, demands, other = instance
+        kwargs = {}
+        if mode == "warm":
+            seed = NetworkSimplex(nodes, arcs, other)
+            try:
+                seed.solve()
+            except ReproError:
+                return
+            kwargs["warm_basis"] = seed.export_basis()
+        elif mode == "bland":
+            # Bland's rule takes over after max_iterations // 2 pivots.
+            kwargs["max_iterations"] = knob
+        elif mode == "chaos":
+            kwargs["chaos_seed"] = knob
+        vectorized = _run(nodes, arcs, demands, **kwargs)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                NetworkSimplex, "_find_entering", _loop_find_entering
+            )
+            looped = _run(nodes, arcs, demands, **kwargs)
+        assert vectorized == looped
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_any_basis_state_prices_like_the_loop(self, data):
+        """Pricing alone, on arbitrary potentials and tree masks with
+        sparse eligible arcs, so windows often come up empty and the
+        scan wraps around the arc list."""
+        n = data.draw(st.integers(2, 6))
+        m = data.draw(st.integers(1, 300))
+        nodes = [f"v{i}" for i in range(n)]
+
+        def column(values):
+            return data.draw(st.lists(values, min_size=m, max_size=m))
+
+        arcs = [
+            (nodes[tail], nodes[head], cost)
+            for tail, head, cost in zip(
+                column(st.integers(0, n - 1)),
+                column(st.integers(0, n - 1)),
+                column(st.integers(0, 200)),
+            )
+        ]
+        simplex = NetworkSimplex(nodes, arcs, {})
+        simplex._build_initial_tree()
+        simplex.pot[:] = data.draw(
+            st.lists(st.integers(-4, 4), min_size=n + 1, max_size=n + 1)
+        )
+        simplex.in_tree[:m] = data.draw(
+            st.lists(st.integers(0, 1), min_size=m, max_size=m)
+        )
+        cursor = data.draw(st.integers(0, m - 1))
+        for bland in (False, True):
+            assert simplex._find_entering(cursor, bland) == (
+                _loop_find_entering(simplex, cursor, bland)
+            )
+        chaos = data.draw(st.integers(0, 99))
+        simplex.pivot_chaos = random.Random(chaos)
+        vectorized = simplex._find_entering(cursor, False)
+        simplex.pivot_chaos = random.Random(chaos)
+        assert vectorized == _loop_find_entering(simplex, cursor, False)
+
+    def test_forced_bland_switch_solves_identically(self):
+        nodes, arcs, demands = _bland_instance()
+        vectorized = _run(nodes, arcs, demands, max_iterations=40)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                NetworkSimplex, "_find_entering", _loop_find_entering
+            )
+            looped = _run(nodes, arcs, demands, max_iterations=40)
+        assert vectorized == looped
+        iterations, _, bland_used = vectorized[:3]
+        assert iterations > 20 and bland_used is True
+
+
+def _bland_instance():
+    """A fixed instance needing more than 20 pivots from a cold start,
+    so ``max_iterations=40`` switches to Bland's rule mid-solve."""
+    rng = random.Random(5)
+    nodes = [f"v{i}" for i in range(16)]
+    arcs = [
+        (nodes[i], nodes[j], rng.randint(0, 9))
+        for i in range(16)
+        for j in range(16)
+        if i != j and rng.random() < 0.4
+    ]
+    supplies = [Fraction(rng.randint(-6, 6), 2) for _ in range(15)]
+    demands = dict(zip(nodes, supplies + [-sum(supplies)]))
+    return nodes, arcs, demands
+
+
+class TestInt64Guard:
+    """Potentials that could overflow int64 are refused with a typed
+    error, and the fallback chain answers instead."""
+
+    SCALE = 2**58  # costs still fit int64; (n + 1) * big-M does not
+
+    def _scaled(self):
+        arcs = [
+            (tail, head, cost * self.SCALE)
+            for tail, head, cost in TRANSPORT["arcs"]
+        ]
+        return TRANSPORT["nodes"], arcs, _transport_demands()
+
+    def test_constructor_raises_solver_error(self):
+        nodes, arcs, demands = self._scaled()
+        with pytest.raises(SolverError, match="int64"):
+            NetworkSimplex(nodes, arcs, demands)
+
+    def test_fallback_answers_with_scaled_canonical_potentials(self):
+        nodes, arcs, demands = self._scaled()
+        result = solve_min_cost_flow(nodes, arcs, demands)
+        assert result.backend == "scipy"
+        assert [a.backend for a in result.attempts] == ["simplex", "scipy"]
+        small = solve_min_cost_flow(
+            nodes, TRANSPORT["arcs"], demands,
+            SolverPolicy(backends=("simplex",)),
+        )
+        # Canonical potentials are shortest residual distances, which
+        # scale with the costs; the optimal flows are the same set.
+        assert result.potentials == {
+            node: value * self.SCALE
+            for node, value in small.potentials.items()
+        }
+        assert result.objective == small.objective * self.SCALE

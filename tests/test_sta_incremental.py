@@ -27,6 +27,7 @@ from repro.netlist import (
     GateType,
 )
 from repro.sta import TimingEngine
+from repro.sta.delay_models import make_calculator
 from repro.sta.engine import NEG_INF
 from repro.sta.min_delay import MinDelayAnalysis
 
@@ -306,6 +307,58 @@ class TestMutationParity:
                 buffers, counter,
             )
         _assert_engine_parity(netlist, inc, full)
+
+
+class TestEdgeCacheEviction:
+    """After any interleaving of cell swaps and structural edits, every
+    arc delay a calculator still caches, and every transition delay it
+    derives, equals a fresh calculator's."""
+
+    @staticmethod
+    def _assert_cache_fresh(netlist, calc, model):
+        calc.load(netlist.topo_order()[0])  # drain pending events
+        fresh = make_calculator(model, netlist.copy(), LIBRARY)
+        for (driver, sink), value in list(calc._edge_cache.items()):
+            assert driver in netlist[sink].fanins, (driver, sink)
+            assert value == fresh.edge_delay(driver, sink), (driver, sink)
+        for sink in netlist.topo_order():
+            for driver in set(netlist[sink].fanins):
+                assert calc.edge_delay(driver, sink) == fresh.edge_delay(
+                    driver, sink
+                ), (driver, sink)
+                if model == "path":
+                    assert calc.transition_edges(
+                        driver, sink
+                    ) == fresh.transition_edges(driver, sink)
+
+    @settings(
+        max_examples=12,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        seed=st.integers(0, 30),
+        model=st.sampled_from(["path", "gate"]),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["swap", "swap", "buffer", "unbuffer"]),
+                st.integers(0, 10**6),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_cached_delays_match_a_fresh_calculator(self, seed, model, ops):
+        netlist = _generated(seed, gates=40)
+        calc = make_calculator(model, netlist, LIBRARY)
+        self._assert_cache_fresh(netlist, calc, model)
+        buffers, counter = [], 0
+        for index, (op, pick, check) in enumerate(ops):
+            counter = _apply_op(netlist, op, pick, buffers, counter)
+            # Unchecked steps batch their events into the next check.
+            if check or index == len(ops) - 1:
+                self._assert_cache_fresh(netlist, calc, model)
 
 
 # -- scoping and counters ----------------------------------------------------

@@ -17,7 +17,10 @@ Pipeline (Section IV):
    eq. (14) min-cost-flow dual solved with our network simplex; node
    potentials recover the retiming labels in polynomial time;
 6. :mod:`repro.retime.grar` / :mod:`repro.retime.base` — the G-RAR and
-   resiliency-unaware baseline flows.
+   resiliency-unaware baseline flows; both take their problem from
+   :mod:`repro.retime.compile` (cached, or built afresh for the
+   cache-off oracle), and the baseline shares its forced-cut solve
+   with VL-RAR (:mod:`repro.retime.forced`).
 """
 
 from repro.retime.regions import Regions, compute_regions

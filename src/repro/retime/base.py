@@ -12,28 +12,25 @@ error-detecting latches afterwards — Section VI-D: "master latches
 whose input arrival times fall in the resiliency window are then
 replaced with error-detecting counterparts").
 
-Mechanically this is the same forced-cut machinery the VL flow uses:
-for every endpoint that *can* meet ``Pi``, the gates of its cut set
-``g(t)`` are pinned to ``r = -1``, and the latch count is minimized
-subject to those constraints.  The result is what the paper's Table VI
-shows for "Base": EDL counts near the near-critical-endpoint counts of
-Table I, and noticeably more slave latches than G-RAR, which trades a
-few extra error-detecting masters for far fewer latches.
+Mechanically this is VL-RAR with every master typed non-EDL: one
+:func:`~repro.retime.forced.solve_forced_cuts` call pins the cut set
+``g(t)`` of every endpoint that *can* meet ``Pi`` to ``r = -1`` and
+minimizes the latch count subject to those constraints.  The result
+is what the paper's Table VI shows for "Base": EDL counts near the
+near-critical-endpoint counts of Table I, and noticeably more slave
+latches than G-RAR, which trades a few extra error-detecting masters
+for far fewer latches.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Set
+from typing import Dict
 
 from repro import metrics
 from repro.latches.resilient import TwoPhaseCircuit
-from repro.retime.compile import compile_retiming
-from repro.retime.cutset import EndpointClass, compute_cut_sets
-from repro.retime.graph import build_retiming_graph
-from repro.retime.grar import placement_from_r
-from repro.retime.netflow import solve_retiming_flow
-from repro.retime.regions import Regions, compute_regions
+from repro.retime.compile import build_problem, compile_retiming
+from repro.retime.forced import solve_forced_cuts
 from repro.retime.result import RetimingResult
 
 
@@ -55,63 +52,25 @@ def base_retime(
     phases: Dict[str, float] = {}
     started = time.perf_counter()
 
-    compiled = None
-    if retime_cache and overhead > 0:
-        tick = time.perf_counter()
-        compiled = compile_retiming(
-            circuit, overhead, conflict_policy=conflict_policy
-        )
-        regions = compiled.regions
-        phases["compile"] = time.perf_counter() - tick
-    else:
-        tick = time.perf_counter()
-        regions = compute_regions(circuit, conflict_policy=conflict_policy)
-        phases["regions"] = time.perf_counter() - tick
+    tick = time.perf_counter()
+    problem = (
+        compile_retiming if retime_cache and overhead > 0 else build_problem
+    )(circuit, overhead, conflict_policy)
+    phases["compile"] = time.perf_counter() - tick
 
     # Worst-case timing constraints: every master that can receive its
-    # data before Pi must.  Delegate the "can it" question to the cut
-    # sets and force the feasible ones.
-    tick = time.perf_counter()
-    from repro.vl.flow import forceable_gates  # local: avoids a cycle
-
-    cut_sets = (
-        compiled.cut_sets
-        if compiled is not None
-        else compute_cut_sets(circuit, regions)
+    # data before Pi must.
+    cuts = solve_forced_cuts(
+        circuit,
+        problem.regions,
+        problem.cut_sets,
+        circuit.endpoint_names,
+        phases,
     )
-    forceable = forceable_gates(circuit, regions)
-    forced: Set[str] = set()
-    unmet = 0
-    for endpoint, cut in cut_sets.items():
-        if cut.kind is not EndpointClass.TARGET:
-            if cut.kind is EndpointClass.ALWAYS:
-                unmet += 1
-            continue
-        if all(g in forceable for g in cut.gates):
-            forced.update(cut.gates)
-        else:
-            unmet += 1
-    timing_regions = Regions(
-        vm=frozenset(regions.vm | forced),
-        vn=regions.vn,
-        vr=frozenset(regions.vr - forced),
-    )
-    phases["constraints"] = time.perf_counter() - tick
 
     tick = time.perf_counter()
-    graph = build_retiming_graph(
-        circuit, timing_regions, cut_sets=None, overhead=0.0
-    )
-    phases["graph"] = time.perf_counter() - tick
-
-    tick = time.perf_counter()
-    solution = solve_retiming_flow(graph)
-    phases["solve"] = time.perf_counter() - tick
-
-    tick = time.perf_counter()
-    placement = placement_from_r(circuit, solution.r_values)
-    edl = circuit.edl_endpoints(placement)
-    cost = circuit.sequential_cost(placement, overhead)
+    edl = circuit.edl_endpoints(cuts.placement)
+    cost = circuit.sequential_cost(cuts.placement, overhead)
     phases["apply"] = time.perf_counter() - tick
 
     comb_area = (
@@ -125,17 +84,17 @@ def base_retime(
         method="base-flow",
         circuit_name=circuit.netlist.name,
         overhead=overhead,
-        placement=placement,
+        placement=cuts.placement,
         edl_endpoints=edl,
         cost=cost,
-        objective=solution.objective,
+        objective=cuts.solution.objective,
         comb_area=comb_area,
         runtime_s=runtime_s,
         phase_runtimes=phases,
-        solver_iterations=solution.iterations,
+        solver_iterations=cuts.solution.iterations,
         notes={
-            "unmet_endpoints": str(unmet),
-            "forced_gates": str(len(forced)),
-            "solver_backend": solution.backend,
+            "unmet_endpoints": str(len(cuts.dropped)),
+            "forced_gates": str(len(cuts.forced)),
+            "solver_backend": cuts.solution.backend,
         },
     )

@@ -14,20 +14,24 @@ circuit and re-costs it per sweep point:
   conflict policy).  Re-sized netlists (the rescue pass changes gate
   cells, and its budget is c-dependent) therefore miss the cache —
   correctly.
-* :func:`compile_retiming` — fetches/builds compiled problems through
-  the ambient :class:`~repro.store.ArtifactStore` (namespace
-  ``"compiled-grar"``); emits ``retime.compile.{hits,misses}``.  With
-  a persistent store, compiled problems land on disk and successive
-  CLI invocations (and parallel workers sharing the directory)
-  hit across process boundaries.
+* :func:`build_problem` — the one builder: regions, cut sets and the
+  graph at the given ``c``, from scratch.
+* :func:`compile_retiming` — fetches compiled problems from the
+  ambient :class:`~repro.store.ArtifactStore` (namespace
+  ``"compiled-grar"``), calling :func:`build_problem` on a miss;
+  emits ``retime.compile.{hits,misses}``.  With a persistent store,
+  compiled problems land on disk and successive CLI invocations (and
+  parallel workers sharing the directory) hit across process
+  boundaries.
 * :class:`CompiledRetiming` — regions + cut sets + graph skeleton,
   plus the previous sweep point's optimal simplex basis
   (``last_basis``) so the next solve can warm-start.  A fresh miss
   seeds ``last_basis`` from the most recent entry of the same circuit
   and conflict policy, carried onto its own arcs by arc identity.
 
-Parity: with the cache *off* every solve recomputes and cold-starts —
-the bit-exact oracle.  With it *on*, :func:`recost_graph` reproduces
+Parity: with the cache *off* the retimers call :func:`build_problem`
+directly — no store, no sibling seeding, no warm basis — the bit-exact
+oracle.  With it *on*, :func:`recost_graph` reproduces
 ``build_retiming_graph`` exactly (same node and edge order), and the
 solver canonicalizes its dual potentials, so ``r_values``, objective,
 placement and EDL sets are identical either way (asserted by
@@ -50,11 +54,12 @@ from repro.retime.graph import (
 )
 from repro.retime.regions import Regions, compute_regions
 from repro.retime.simplex import WarmBasis
-from repro.store import ArtifactStore, circuit_fingerprint, get_store
+from repro.store import circuit_fingerprint, get_store
 
 __all__ = [
     "CompiledRetiming",
     "NAMESPACE",
+    "build_problem",
     "circuit_fingerprint",
     "clear_cache",
     "compile_retiming",
@@ -85,11 +90,37 @@ class CompiledRetiming:
         return recost_graph(self.skeleton, overhead)
 
 
+def build_problem(
+    circuit: TwoPhaseCircuit,
+    overhead: float,
+    conflict_policy: str = "error",
+    fingerprint: str = "",
+) -> CompiledRetiming:
+    """Build the problem for ``circuit`` from scratch: regions, cut
+    sets, and the graph at ``overhead`` as its skeleton.
+
+    :func:`compile_retiming` calls it on a miss, passing its store key
+    as ``fingerprint``; the ``retime_cache=False`` oracle calls it
+    directly, at any ``overhead >= 0``.
+    """
+    regions = compute_regions(circuit, conflict_policy=conflict_policy)
+    cut_sets = compute_cut_sets(circuit, regions)
+    return CompiledRetiming(
+        fingerprint=fingerprint,
+        circuit_name=circuit.netlist.name,
+        conflict_policy=conflict_policy,
+        regions=regions,
+        cut_sets=cut_sets,
+        skeleton=build_retiming_graph(
+            circuit, regions, cut_sets=cut_sets, overhead=overhead
+        ),
+    )
+
+
 def compile_retiming(
     circuit: TwoPhaseCircuit,
     overhead: float,
     conflict_policy: str = "error",
-    store: Optional[ArtifactStore] = None,
 ) -> CompiledRetiming:
     """Fetch or build the compiled problem for ``circuit``.
 
@@ -97,31 +128,17 @@ def compile_retiming(
     value yields the same skeleton modulo credit breadths, which
     :func:`recost_graph` patches per solve); it must be positive, as
     the c=0 graph has no pseudo nodes and is not resiliency-aware.
-    ``store`` overrides the ambient artifact store (workers pass
-    their own).
     """
     if overhead <= 0:
         raise ValueError("compile_retiming requires overhead > 0")
-    store = store if store is not None else get_store()
+    store = get_store()
     key = circuit_fingerprint(circuit, conflict_policy)
     entry = store.get(NAMESPACE, key)
     if entry is not None:
         metrics.count("retime.compile.hits")
         return entry
     metrics.count("retime.compile.misses")
-    regions = compute_regions(circuit, conflict_policy=conflict_policy)
-    cut_sets = compute_cut_sets(circuit, regions)
-    skeleton = build_retiming_graph(
-        circuit, regions, cut_sets=cut_sets, overhead=overhead
-    )
-    entry = CompiledRetiming(
-        fingerprint=key,
-        circuit_name=circuit.netlist.name,
-        conflict_policy=conflict_policy,
-        regions=regions,
-        cut_sets=cut_sets,
-        skeleton=skeleton,
-    )
+    entry = build_problem(circuit, overhead, conflict_policy, key)
     # Seed the warm start from the most recent sibling problem of the
     # same circuit (e.g. the pristine problem, when the rescue pass
     # resized a few gates and forced this miss), carried over by arc
@@ -135,7 +152,7 @@ def compile_retiming(
             and other.last_basis is not None
         ):
             entry.last_basis = _translate_basis(
-                other.last_basis, other.skeleton, skeleton
+                other.last_basis, other.skeleton, entry.skeleton
             )
             metrics.count("retime.compile.basis_seeded")
             break
@@ -184,8 +201,7 @@ def _translate_basis(
 
 
 def clear_cache() -> None:
-    """Drop the in-memory compiled problems (tests and the cache-off
-    oracle).  Disk artifacts of a persistent store are kept — use
-    ``ArtifactStore.clear(NAMESPACE)`` / ``repro cache clear`` for
-    those."""
+    """Drop the in-memory compiled problems (tests).  Disk artifacts
+    of a persistent store are kept — use ``ArtifactStore.clear(
+    NAMESPACE)`` / ``repro cache clear`` for those."""
     get_store().clear_memory(NAMESPACE)

@@ -174,22 +174,23 @@ def recost_graph(
     see ``tests/test_retime_compile.py``).  Patching the credit
     breadths therefore reproduces ``build_retiming_graph(...,
     overhead=c)`` exactly — same node order, same edge order — at a
-    fraction of the cost.  The skeleton must have been built with a
+    fraction of the cost.  At the skeleton's own overhead the skeleton
+    itself is returned; any other ``c`` needs a skeleton built with a
     positive overhead (a circuit with no creditable endpoints then has
-    no pseudo nodes, and re-costing is a no-op); the returned graph
+    no pseudo nodes, and re-costing is a no-op).  The returned graph
     shares the skeleton's node/bound containers, which no consumer
     mutates.
     """
+    c = Fraction(overhead).limit_denominator(10**6)
+    if c == skeleton.overhead:
+        return skeleton
     if skeleton.overhead <= 0:
         raise ValueError(
             "recost_graph needs a resiliency-aware skeleton (built "
             "with cut sets and overhead > 0)"
         )
-    c = Fraction(overhead).limit_denominator(10**6)
     if c <= 0:
         raise ValueError("recost_graph requires overhead > 0")
-    if c == skeleton.overhead:
-        return skeleton
     edges = [
         edge
         if edge.kind is not EdgeKind.CREDIT

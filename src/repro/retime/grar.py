@@ -8,12 +8,9 @@ from typing import Dict
 from repro import metrics
 from repro.latches.placement import SlavePlacement
 from repro.latches.resilient import TwoPhaseCircuit
-from repro.retime.compile import compile_retiming
-from repro.retime.cutset import compute_cut_sets
-from repro.retime.graph import build_retiming_graph
+from repro.retime.compile import build_problem, compile_retiming
 from repro.retime.ilp import solve_retiming_lp
 from repro.retime.netflow import solve_retiming_flow
-from repro.retime.regions import compute_regions
 from repro.retime.result import RetimingResult
 
 
@@ -49,48 +46,29 @@ def grar_retime(
     graph skeleton come from the compiled-problem cache keyed by the
     circuit's content fingerprint, and the flow solve warm-starts from
     the previous sweep point's optimal basis.  ``retime_cache=False``
-    recomputes and cold-starts everything — the bit-parity oracle.
+    builds the problem afresh and cold-starts — the bit-parity oracle.
     """
     if overhead < 0:
         raise ValueError("overhead must be non-negative")
     phases: Dict[str, float] = {}
     started = time.perf_counter()
 
-    compiled = None
-    if retime_cache and overhead > 0:
-        tick = time.perf_counter()
-        compiled = compile_retiming(
-            circuit, overhead, conflict_policy=conflict_policy
-        )
-        regions = compiled.regions
-        cut_sets = compiled.cut_sets
-        phases["compile"] = time.perf_counter() - tick
+    cached = retime_cache and overhead > 0
+    tick = time.perf_counter()
+    problem = (compile_retiming if cached else build_problem)(
+        circuit, overhead, conflict_policy
+    )
+    phases["compile"] = time.perf_counter() - tick
 
-        tick = time.perf_counter()
-        graph = compiled.graph_for(overhead)
-        phases["graph"] = time.perf_counter() - tick
-    else:
-        tick = time.perf_counter()
-        regions = compute_regions(circuit, conflict_policy=conflict_policy)
-        phases["regions"] = time.perf_counter() - tick
-
-        tick = time.perf_counter()
-        cut_sets = compute_cut_sets(circuit, regions)
-        phases["cut_sets"] = time.perf_counter() - tick
-
-        tick = time.perf_counter()
-        graph = build_retiming_graph(
-            circuit, regions, cut_sets=cut_sets, overhead=overhead
-        )
-        phases["graph"] = time.perf_counter() - tick
+    tick = time.perf_counter()
+    graph = problem.graph_for(overhead)
+    phases["graph"] = time.perf_counter() - tick
 
     tick = time.perf_counter()
     if solver == "flow":
-        solution = solve_retiming_flow(
-            graph, warm_basis=compiled.last_basis if compiled else None
-        )
-        if compiled is not None and solution.basis is not None:
-            compiled.last_basis = solution.basis
+        solution = solve_retiming_flow(graph, warm_basis=problem.last_basis)
+        if solution.basis is not None:
+            problem.last_basis = solution.basis
         r_values = solution.r_values
         objective = solution.objective
         iterations = solution.iterations
@@ -122,8 +100,6 @@ def grar_retime(
         else 0.0
     )
     runtime_s = time.perf_counter() - started
-    # The sweep bench reads this to isolate the G-RAR portion of a
-    # flow from the (c-independent) rescue and sentinel work around it.
     metrics.count("retime.grar.wall_s", runtime_s)
     return RetimingResult(
         method=f"grar-{solver}",
@@ -140,6 +116,6 @@ def grar_retime(
         credited_endpoints=credited,
         notes={
             "solver_backend": backend,
-            "retime_cache": "on" if compiled is not None else "off",
+            "retime_cache": "on" if cached else "off",
         },
     )

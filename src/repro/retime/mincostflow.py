@@ -1,10 +1,10 @@
 """Multi-backend min-cost-flow with a resilient fallback chain.
 
 The retiming dual (eq. 14) is solved by the in-house network simplex.
-Production runs cannot afford a single solver breakdown (iteration
-budget, cycling, wall-clock deadline) killing a whole table suite, so
-this module wraps three interchangeable backends behind one entry
-point, :func:`solve_min_cost_flow`:
+Production runs cannot afford a single solver breakdown (an exhausted
+iteration budget, the int64 overflow guard) killing a whole table
+suite, so this module wraps three interchangeable backends behind one
+entry point, :func:`solve_min_cost_flow`:
 
 * ``simplex`` — :class:`repro.retime.simplex.NetworkSimplex`, exact
   Fraction arithmetic, returns dual potentials directly;
@@ -13,12 +13,11 @@ point, :func:`solve_min_cost_flow`:
   are integral in scaled units;
 * ``networkx`` — ``networkx.network_simplex`` on a ``MultiDiGraph``.
 
-The chain tries backends in order; genuine *problem* verdicts
+The chain tries backends in that order; genuine *problem* verdicts
 (infeasible / unbounded) propagate immediately — a different backend
 cannot fix an infeasible instance — while *solver* breakdowns fall
 through to the next backend.  Every attempt is recorded in the result
-for diagnosis, and ``cross_check`` mode runs all backends and demands
-exact objective agreement.
+for diagnosis.
 
 Backends that only return a flow (scipy, networkx) recover the dual
 potentials by a Bellman-Ford pass over the residual graph: at
@@ -65,36 +64,13 @@ try:  # pragma: no cover - import guard
 except ImportError:  # pragma: no cover
     _HAS_NETWORKX = False
 
-#: Backend order of the default fallback chain.
-BACKENDS = ("simplex", "scipy", "networkx")
-
-
-@dataclass(frozen=True)
-class SolverPolicy:
-    """Knobs of the fallback chain.
-
-    ``verify`` re-checks the winning solution's primal/dual
-    certificate (conservation, non-negativity, reduced costs,
-    complementary slackness) before returning it — the runtime
-    counterpart of the unit tests' ``NetworkSimplex.verify``.
-    """
-
-    backends: Tuple[str, ...] = BACKENDS
-    max_iterations: Optional[int] = None
-    deadline_s: Optional[float] = None
-    cross_check: bool = False
-    verify: bool = False
-
-
-DEFAULT_POLICY = SolverPolicy()
-
 
 @dataclass
 class BackendAttempt:
     """Record of one backend invocation inside the chain."""
 
     backend: str
-    status: str  # "ok" | "failed" | "unavailable"
+    status: str  # "ok" | "failed"
     time_s: float = 0.0
     error: Optional[str] = None
     error_type: Optional[str] = None
@@ -253,17 +229,9 @@ def _solve_simplex(
     nodes: Sequence[Node],
     arcs: Sequence[Arc],
     demands: Dict[Node, Fraction],
-    policy: SolverPolicy,
     warm_basis: Optional[WarmBasis] = None,
 ) -> MinCostFlowResult:
-    simplex = NetworkSimplex(
-        nodes,
-        arcs,
-        demands,
-        max_iterations=policy.max_iterations,
-        deadline_s=policy.deadline_s,
-        warm_basis=warm_basis,
-    )
+    simplex = NetworkSimplex(nodes, arcs, demands, warm_basis=warm_basis)
     result = simplex.solve()
     # Canonicalize the duals: a warm start (or any alternative optimal
     # basis) may stop at a different vertex than a cold start; routing
@@ -284,7 +252,6 @@ def _solve_scipy(
     nodes: Sequence[Node],
     arcs: Sequence[Arc],
     demands: Dict[Node, Fraction],
-    policy: SolverPolicy,
     warm_basis: Optional[WarmBasis] = None,
 ) -> MinCostFlowResult:
     if not _HAS_SCIPY:
@@ -353,7 +320,6 @@ def _solve_networkx(
     nodes: Sequence[Node],
     arcs: Sequence[Arc],
     demands: Dict[Node, Fraction],
-    policy: SolverPolicy,
     warm_basis: Optional[WarmBasis] = None,
 ) -> MinCostFlowResult:
     if not _HAS_NETWORKX:
@@ -394,13 +360,6 @@ def _solve_networkx(
     )
 
 
-_BACKEND_FUNCS = {
-    "simplex": _solve_simplex,
-    "scipy": _solve_scipy,
-    "networkx": _solve_networkx,
-}
-
-
 # -- the chain --------------------------------------------------------------
 
 
@@ -408,7 +367,6 @@ def solve_min_cost_flow(
     nodes: Sequence[Node],
     arcs: Sequence[Arc],
     demands: Dict[Node, Fraction],
-    policy: SolverPolicy = DEFAULT_POLICY,
     warm_basis: Optional[WarmBasis] = None,
 ) -> MinCostFlowResult:
     """Solve with the fallback chain described in the module docstring.
@@ -425,18 +383,14 @@ def solve_min_cost_flow(
     """
     chain_started = time.perf_counter()
     attempts: List[BackendAttempt] = []
-    winner: Optional[MinCostFlowResult] = None
-    last_error: Optional[SolverError] = None
-    for backend in policy.backends:
-        func = _BACKEND_FUNCS.get(backend)
-        if func is None:
-            raise SolverError(
-                f"unknown solver backend {backend!r}; choose from "
-                f"{sorted(_BACKEND_FUNCS)}"
-            )
+    for backend, func in (
+        ("simplex", _solve_simplex),
+        ("scipy", _solve_scipy),
+        ("networkx", _solve_networkx),
+    ):
         started = time.perf_counter()
         try:
-            result = func(nodes, arcs, demands, policy, warm_basis)
+            result = func(nodes, arcs, demands, warm_basis)
         except (InfeasibleFlowError, UnboundedFlowError) as exc:
             # A verdict about the problem itself: retrying with a
             # different backend cannot change it.
@@ -447,7 +401,6 @@ def solve_min_cost_flow(
             exc.payload.setdefault("backend", backend)
             raise
         except SolverError as exc:
-            last_error = exc
             metrics.count(f"mcf.attempt.{backend}.failed")
             attempts.append(
                 BackendAttempt(
@@ -468,53 +421,13 @@ def solve_min_cost_flow(
                 objective=result.objective,
             )
         )
-        if winner is None:
-            winner = result
-            if not policy.cross_check:
-                break
-
-    if winner is None:
-        if len(attempts) == 1 and last_error is not None:
-            # A single-backend policy: the original (more specific)
-            # error is strictly more informative than an aggregate.
-            last_error.payload.setdefault(
-                "attempts", [a.to_dict() for a in attempts]
-            )
-            raise last_error
-        raise SolverError(
-            "all min-cost-flow backends failed: "
-            + "; ".join(
-                f"{a.backend}: {a.error}" for a in attempts
-            ),
-            payload={"attempts": [a.to_dict() for a in attempts]},
-        )
-
-    if policy.cross_check:
-        answered = [a for a in attempts if a.status == "ok"]
-        objectives = {a.objective for a in answered}
-        if len(objectives) > 1:
-            raise SolverError(
-                "backend objective mismatch: "
-                + ", ".join(
-                    f"{a.backend}={a.objective}" for a in answered
-                ),
-                payload={"attempts": [a.to_dict() for a in attempts]},
-            )
-
-    if policy.verify:
-        problems = verify_solution(nodes, arcs, demands, winner)
-        if problems:
-            raise SolverError(
-                f"{winner.backend} solution failed certification: "
-                + "; ".join(problems[:5]),
-                payload={
-                    "problems": problems,
-                    "backend": winner.backend,
-                },
-            )
-
-    metrics.count(f"mcf.solved.{winner.backend}")
-    metrics.count("mcf.solves")
-    metrics.count("mcf.wall_s", time.perf_counter() - chain_started)
-    winner.attempts = attempts
-    return winner
+        metrics.count(f"mcf.solved.{backend}")
+        metrics.count("mcf.solves")
+        metrics.count("mcf.wall_s", time.perf_counter() - chain_started)
+        result.attempts = attempts
+        return result
+    raise SolverError(
+        "all min-cost-flow backends failed: "
+        + "; ".join(f"{a.backend}: {a.error}" for a in attempts),
+        payload={"attempts": [a.to_dict() for a in attempts]},
+    )

@@ -20,13 +20,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import SolverError
 from repro.latches.placement import HOST
 from repro.retime.graph import RetimingGraph
-from repro.retime.mincostflow import (
-    DEFAULT_POLICY,
-    BackendAttempt,
-    SolverPolicy,
-    solve_min_cost_flow,
-)
-from repro.retime.simplex import SimplexResult, WarmBasis
+from repro.retime.mincostflow import BackendAttempt, solve_min_cost_flow
+from repro.retime.simplex import WarmBasis
 
 
 @dataclass
@@ -35,9 +30,7 @@ class FlowSolution:
 
     r_values: Dict[str, int]
     objective: Fraction
-    flow_objective: Fraction
     iterations: int
-    simplex: Optional[SimplexResult] = None
     backend: str = "simplex"
     attempts: List[BackendAttempt] = field(default_factory=list)
     #: Optimal basis for warm-starting the next sweep point (simplex
@@ -96,26 +89,23 @@ def build_demands_paper_form(graph: RetimingGraph) -> Dict[str, Fraction]:
 
 def solve_retiming_flow(
     graph: RetimingGraph,
-    policy: Optional[SolverPolicy] = None,
     warm_basis: Optional[WarmBasis] = None,
 ) -> FlowSolution:
     """Solve the retiming graph via the min-cost-flow dual.
 
-    ``policy`` configures the solver-fallback chain; by default the
-    in-house network simplex answers, with scipy and networkx standing
-    by should it break down.  ``warm_basis`` — an optimal basis from a
-    previous overhead of the *same compiled problem*, or a sibling
-    problem's translated onto this graph's arcs — lets the simplex
-    skip its artificial cold start; the returned solution carries the
-    new optimal basis for the next sweep point.
+    The in-house network simplex answers, with scipy and networkx
+    standing by should it break down.  ``warm_basis`` — an optimal
+    basis from a previous overhead of the *same compiled problem*, or
+    a sibling problem's translated onto this graph's arcs — lets the
+    simplex skip its artificial cold start; the returned solution
+    carries the new optimal basis for the next sweep point.
     """
     demands = build_demands(graph)
     arcs: List[Tuple[str, str, int]] = [
         (edge.tail, edge.head, edge.weight) for edge in graph.edges
     ]
     result = solve_min_cost_flow(
-        graph.nodes, arcs, demands, policy or DEFAULT_POLICY,
-        warm_basis=warm_basis,
+        graph.nodes, arcs, demands, warm_basis=warm_basis
     )
 
     host_pot = result.potentials[HOST]
@@ -145,7 +135,6 @@ def solve_retiming_flow(
     return FlowSolution(
         r_values=r_values,
         objective=objective,
-        flow_objective=result.objective,
         iterations=result.iterations,
         backend=result.backend,
         attempts=result.attempts,

@@ -6,7 +6,9 @@ timing constraints the virtual library implies:
 * an endpoint typed **non-EDL** carries the extended setup, so every
   slave in its fan-in cone must keep its arrival out of the resiliency
   window — encoded by *forcing* the cut set ``g(t)`` to be retimed
-  through (the hard-constraint version of G-RAR's optional credit);
+  through (the hard-constraint version of G-RAR's optional credit,
+  :func:`repro.retime.forced.solve_forced_cuts`, which the base
+  retimer runs with every master typed non-EDL);
 * an endpoint typed **EDL** only needs the window-close limit that any
   legal two-phase design satisfies.
 
@@ -23,15 +25,12 @@ until the optional post-retiming swap step runs.
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional, Set
+from typing import Dict, Optional
 
 from repro.latches.resilient import SequentialCost, TwoPhaseCircuit
-from repro.netlist.netlist import GateType
-from repro.retime.cutset import EndpointClass, compute_cut_sets
-from repro.retime.graph import build_retiming_graph
-from repro.retime.grar import placement_from_r
-from repro.retime.netflow import solve_retiming_flow
-from repro.retime.regions import Regions, compute_regions
+from repro.retime.cutset import compute_cut_sets
+from repro.retime.forced import solve_forced_cuts
+from repro.retime.regions import compute_regions
 from repro.retime.result import RetimingResult
 from repro.vl.swap import (
     SwapReport,
@@ -39,27 +38,6 @@ from repro.vl.swap import (
     swap_unnecessary_edl,
 )
 from repro.vl.variants import VlVariant, initial_types
-
-
-def forceable_gates(circuit: TwoPhaseCircuit, regions: Regions) -> Set[str]:
-    """Gates whose forced retiming (``r = -1``) is feasible.
-
-    ``r(g) = -1`` cascades to every transitive fanin through the
-    zero-weight edges, so it is feasible iff no ancestor sits in Vn.
-    """
-    result: Set[str] = set()
-    for name in circuit.netlist.topo_order():
-        gate = circuit.netlist[name]
-        if gate.is_source:
-            result.add(name)
-            continue
-        if gate.gtype is not GateType.COMB:
-            continue
-        if name in regions.vn:
-            continue
-        if all(fanin in result for fanin in gate.fanins):
-            result.add(name)
-    return result
 
 
 def vl_retime(
@@ -87,48 +65,23 @@ def vl_retime(
     if types is None:
         types = initial_types(circuit, variant)
     regions = compute_regions(circuit)
+    cut_sets = compute_cut_sets(circuit, regions)
     phases["typing"] = time.perf_counter() - tick
 
     # Hard constraints from non-EDL typings: each g(t) cut set is
     # forced into Vm so the slaves are retimed through it.  A constraint
     # the tool cannot meet that way (an always-EDL master, or a cut
     # through unforceable gates) is dropped.
-    tick = time.perf_counter()
-    forced: Set[str] = set()
-    dropped: Set[str] = set()
-    cut_sets = compute_cut_sets(circuit, regions)
-    forceable = forceable_gates(circuit, regions)
-    for endpoint, is_edl in types.items():
-        if is_edl:
-            continue
-        cut = cut_sets[endpoint]
-        if cut.kind is EndpointClass.NEVER:
-            continue
-        if cut.kind is EndpointClass.ALWAYS or not all(
-            g in forceable for g in cut.gates
-        ):
-            dropped.add(endpoint)  # tool cannot meet this constraint
-            continue
-        forced.update(cut.gates)
-    constrained_regions = Regions(
-        vm=frozenset(regions.vm | forced),
-        vn=regions.vn,
-        vr=frozenset(regions.vr - forced),
+    cuts = solve_forced_cuts(
+        circuit,
+        regions,
+        cut_sets,
+        [endpoint for endpoint, is_edl in types.items() if not is_edl],
+        phases,
     )
-    phases["constraints"] = time.perf_counter() - tick
 
     tick = time.perf_counter()
-    graph = build_retiming_graph(
-        circuit, constrained_regions, cut_sets=None, overhead=0.0
-    )
-    phases["graph"] = time.perf_counter() - tick
-
-    tick = time.perf_counter()
-    solution = solve_retiming_flow(graph)
-    phases["solve"] = time.perf_counter() - tick
-
-    tick = time.perf_counter()
-    placement = placement_from_r(circuit, solution.r_values)
+    placement = cuts.placement
     swap_report = SwapReport()
     types = apply_required_upgrades(circuit, placement, types, swap_report)
     if post_swap:
@@ -156,16 +109,16 @@ def vl_retime(
         placement=placement,
         edl_endpoints=edl_set,
         cost=cost,
-        objective=solution.objective,
+        objective=cuts.solution.objective,
         comb_area=comb_area,
         runtime_s=time.perf_counter() - started,
         phase_runtimes=phases,
-        solver_iterations=solution.iterations,
+        solver_iterations=cuts.solution.iterations,
         notes={
-            "dropped_constraints": str(len(dropped)),
-            "forced_gates": str(len(forced)),
+            "dropped_constraints": str(len(cuts.dropped)),
+            "forced_gates": str(len(cuts.forced)),
             "upgraded": str(len(swap_report.upgraded)),
             "downgraded": str(len(swap_report.downgraded)),
-            "solver_backend": solution.backend,
+            "solver_backend": cuts.solution.backend,
         },
     )

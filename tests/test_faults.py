@@ -176,13 +176,11 @@ class TestSolverFaults:
 
     def test_pivot_chaos_still_reaches_optimum(self):
         """Anti-cycling keeps even randomized pivoting convergent."""
-        from repro.retime.mincostflow import SolverPolicy, solve_min_cost_flow
+        from repro.retime.mincostflow import _solve_networkx
         from tests.test_solver_parity import random_instance
 
         nodes, arcs, demands = random_instance(4, n_nodes=8, n_extra=16)
-        reference = solve_min_cost_flow(
-            nodes, arcs, demands, SolverPolicy(backends=("networkx",))
-        ).objective
+        reference = _solve_networkx(nodes, arcs, demands).objective
         for seed in range(3):
             solver = chaotic_simplex(nodes, arcs, demands, seed=seed)
             result = solver.solve()

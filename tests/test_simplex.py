@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ReproError, SolverError
-from repro.retime.mincostflow import SolverPolicy, solve_min_cost_flow
+from repro.retime.mincostflow import _solve_simplex, solve_min_cost_flow
 from repro.retime.simplex import (
     InfeasibleFlowError,
     NetworkSimplex,
@@ -481,10 +481,7 @@ class TestInt64Guard:
         result = solve_min_cost_flow(nodes, arcs, demands)
         assert result.backend == "scipy"
         assert [a.backend for a in result.attempts] == ["simplex", "scipy"]
-        small = solve_min_cost_flow(
-            nodes, TRANSPORT["arcs"], demands,
-            SolverPolicy(backends=("simplex",)),
-        )
+        small = _solve_simplex(nodes, TRANSPORT["arcs"], demands)
         # Canonical potentials are shortest residual distances, which
         # scale with the costs; the optimal flows are the same set.
         assert result.potentials == {

@@ -2,8 +2,8 @@
 
 The solver-fallback chain is only safe if every backend returns the
 same optimum (objective *and* dual certificate) — these tests pin that
-down on randomized instances with fixed seeds, then exercise the
-fallback and cross-check machinery itself.
+down on randomized instances with fixed seeds, calling each backend
+directly, then exercise the fallback chain itself.
 """
 
 import random
@@ -16,13 +16,26 @@ from repro.errors import (
     SolverError,
     SolverTimeoutError,
 )
+from repro.retime import mincostflow
 from repro.retime.mincostflow import (
-    BACKENDS,
-    MinCostFlowResult,
-    SolverPolicy,
+    _solve_networkx,
+    _solve_scipy,
+    _solve_simplex,
     solve_min_cost_flow,
     verify_solution,
 )
+from repro.retime.simplex import NetworkSimplex
+
+#: Every backend's solver, in the chain's order.
+BACKENDS = {
+    "simplex": _solve_simplex,
+    "scipy": _solve_scipy,
+    "networkx": _solve_networkx,
+}
+
+
+def _broken(*args, **kwargs):
+    raise SolverError("backend down")
 
 
 def random_instance(seed, n_nodes=8, n_extra=12, fractional=False):
@@ -59,11 +72,10 @@ class TestBackendParity:
     def test_integral_instances_agree(self, seed):
         nodes, arcs, demands = random_instance(seed)
         results = {}
-        for backend in BACKENDS:
-            results[backend] = solve_min_cost_flow(
-                nodes, arcs, demands,
-                SolverPolicy(backends=(backend,), verify=True),
-            )
+        for backend, solve in BACKENDS.items():
+            result = solve(nodes, arcs, demands)
+            assert verify_solution(nodes, arcs, demands, result) == []
+            results[backend] = result
         objectives = {r.objective for r in results.values()}
         assert len(objectives) == 1, objectives
         for result in results.values():
@@ -74,74 +86,55 @@ class TestBackendParity:
     @pytest.mark.parametrize("seed", range(4))
     def test_fractional_demands_agree(self, seed):
         nodes, arcs, demands = random_instance(seed + 100, fractional=True)
-        results = [
-            solve_min_cost_flow(
-                nodes, arcs, demands,
-                SolverPolicy(backends=(backend,), verify=True),
-            )
-            for backend in BACKENDS
-        ]
+        results = [solve(nodes, arcs, demands) for solve in BACKENDS.values()]
+        for result in results:
+            assert verify_solution(nodes, arcs, demands, result) == []
         assert len({r.objective for r in results}) == 1
 
     @pytest.mark.parametrize("seed", range(4))
     def test_dual_certificates_verify(self, seed):
         nodes, arcs, demands = random_instance(seed + 200)
-        for backend in BACKENDS:
-            result = solve_min_cost_flow(
-                nodes, arcs, demands, SolverPolicy(backends=(backend,))
-            )
+        for backend, solve in BACKENDS.items():
+            result = solve(nodes, arcs, demands)
+            assert result.backend == backend
             assert verify_solution(nodes, arcs, demands, result) == []
-
-    def test_cross_check_runs_all_backends(self):
-        nodes, arcs, demands = random_instance(7)
-        result = solve_min_cost_flow(
-            nodes, arcs, demands, SolverPolicy(cross_check=True)
-        )
-        answered = [a.backend for a in result.attempts if a.status == "ok"]
-        assert answered == list(BACKENDS)
-        assert result.backend == "simplex"
 
 
 class TestFallbackChain:
-    def test_simplex_budget_falls_through_to_scipy(self):
+    def test_simplex_budget_falls_through_to_scipy(self, monkeypatch):
         nodes, arcs, demands = random_instance(3, n_nodes=10)
-        policy = SolverPolicy(max_iterations=1)
-        result = solve_min_cost_flow(nodes, arcs, demands, policy)
+
+        def capped(nodes, arcs, demands, warm_basis=None):
+            return NetworkSimplex(
+                nodes, arcs, demands, max_iterations=1
+            ).solve()
+
+        monkeypatch.setattr(mincostflow, "_solve_simplex", capped)
+        result = solve_min_cost_flow(nodes, arcs, demands)
         assert result.backend == "scipy"
         attempts = {a.backend: a for a in result.attempts}
         assert attempts["simplex"].status == "failed"
         assert attempts["simplex"].error_type == "SolverTimeoutError"
         # The fallback answer is still the true optimum.
-        reference = solve_min_cost_flow(
-            nodes, arcs, demands, SolverPolicy(backends=("networkx",))
-        )
+        reference = _solve_networkx(nodes, arcs, demands)
         assert result.objective == reference.objective
 
     def test_single_capped_backend_raises_timeout(self):
         nodes, arcs, demands = random_instance(3, n_nodes=10)
-        with pytest.raises(SolverTimeoutError):
-            solve_min_cost_flow(
-                nodes, arcs, demands,
-                SolverPolicy(backends=("simplex",), max_iterations=1),
-            )
+        simplex = NetworkSimplex(nodes, arcs, demands, max_iterations=1)
+        with pytest.raises(SolverTimeoutError, match="iteration budget"):
+            simplex.solve()
 
-    def test_all_backends_failing_reports_attempts(self):
+    def test_all_backends_failing_reports_attempts(self, monkeypatch):
         nodes, arcs, demands = random_instance(5)
+        for backend in BACKENDS:
+            monkeypatch.setattr(mincostflow, f"_solve_{backend}", _broken)
         with pytest.raises(SolverError) as info:
-            solve_min_cost_flow(
-                nodes, arcs, demands,
-                SolverPolicy(backends=("simplex",), max_iterations=1),
-            )
-        # The chain annotates the terminal error; subclass raises keep
-        # their own message.
-        assert "iteration budget" in str(info.value)
-
-    def test_unknown_backend_rejected(self):
-        nodes, arcs, demands = random_instance(1)
-        with pytest.raises(SolverError, match="unknown solver backend"):
-            solve_min_cost_flow(
-                nodes, arcs, demands, SolverPolicy(backends=("gurobi",))
-            )
+            solve_min_cost_flow(nodes, arcs, demands)
+        attempts = info.value.payload["attempts"]
+        assert [a["backend"] for a in attempts] == list(BACKENDS)
+        assert {a["status"] for a in attempts} == {"failed"}
+        assert "all min-cost-flow backends failed" in str(info.value)
 
     def test_infeasible_propagates_without_fallback(self):
         nodes = ["a", "b"]
@@ -152,13 +145,15 @@ class TestFallbackChain:
 
     def test_deadline_is_enforced(self):
         nodes, arcs, demands = random_instance(9, n_nodes=12, n_extra=30)
-        policy = SolverPolicy(backends=("simplex",), deadline_s=0.0)
+        simplex = NetworkSimplex(nodes, arcs, demands, deadline_s=0.0)
         with pytest.raises(SolverTimeoutError, match="deadline"):
-            solve_min_cost_flow(nodes, arcs, demands, policy)
+            simplex.solve()
 
 
 class TestRetimingParity:
-    def test_retiming_flow_matches_lp_under_every_backend(self, fig4):
+    def test_retiming_flow_matches_lp_under_every_backend(
+        self, fig4, monkeypatch
+    ):
         from repro.retime.graph import build_retiming_graph
         from repro.retime.ilp import solve_retiming_lp
         from repro.retime.netflow import solve_retiming_flow
@@ -167,10 +162,13 @@ class TestRetimingParity:
         regions = compute_regions(fig4)
         graph = build_retiming_graph(fig4, regions, overhead=2.0)
         reference = solve_retiming_lp(graph).objective
-        for backend in BACKENDS:
-            solution = solve_retiming_flow(
-                graph, policy=SolverPolicy(backends=(backend,))
-            )
+        order = list(BACKENDS)
+        for backend in order:
+            # Break every backend ahead of this one in the chain.
+            with monkeypatch.context() as patch:
+                for earlier in order[: order.index(backend)]:
+                    patch.setattr(mincostflow, f"_solve_{earlier}", _broken)
+                solution = solve_retiming_flow(graph)
             assert solution.objective == reference
             assert solution.backend == backend
 

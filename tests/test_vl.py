@@ -1,9 +1,11 @@
 """Tests for the virtual-library flow."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.latches import SlavePlacement
-from repro.retime import compute_regions
+from repro.retime import base_retime, compute_regions
+from repro.retime.forced import forceable_gates
 from repro.vl import (
     SwapReport,
     VlVariant,
@@ -12,7 +14,7 @@ from repro.vl import (
     swap_unnecessary_edl,
     vl_retime,
 )
-from repro.vl.flow import forceable_gates
+from tests.test_properties import SEEDS, SLOW, make_circuit
 
 
 class TestInitialTypes:
@@ -121,3 +123,32 @@ class TestVlRetime:
         result = vl_retime(fig4, overhead=1.0, variant=VlVariant.NVL)
         assert "forced_gates" in result.notes
         assert int(result.notes["forced_gates"]) >= 2
+
+
+def _assert_base_is_all_non_edl_vl(circuit, overhead):
+    base = base_retime(circuit, overhead, retime_cache=False)
+    vl = vl_retime(
+        circuit,
+        overhead,
+        VlVariant.NVL,
+        post_swap=False,
+        types={m: False for m in circuit.endpoint_names},
+    )
+    assert base.placement == vl.placement
+    assert base.objective == vl.objective
+    assert base.notes["forced_gates"] == vl.notes["forced_gates"]
+    assert base.notes["unmet_endpoints"] == vl.notes["dropped_constraints"]
+
+
+class TestBaseIsAllNonEdlVl:
+    """The base retimer is VL-RAR with every master typed non-EDL: both
+    force the same cut sets into Vm and solve the same plain flow."""
+
+    @pytest.mark.parametrize("overhead", [0.0, 0.5, 1.0, 2.0])
+    def test_small_prepared(self, small_prepared, overhead):
+        _assert_base_is_all_non_edl_vl(small_prepared[1], overhead)
+
+    @given(SEEDS, st.sampled_from([0.5, 1.0, 2.0]))
+    @SLOW
+    def test_generated(self, seed, overhead):
+        _assert_base_is_all_non_edl_vl(make_circuit(seed), overhead)

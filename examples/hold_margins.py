@@ -20,7 +20,7 @@ import sys
 from repro.cells import default_library
 from repro.circuits import build_benchmark
 from repro.flows import prepare_circuit
-from repro.sta.min_delay import MinDelayAnalysis
+from repro.sta import TimingEngine
 from repro.synth.hold_fix import fix_hold
 
 
@@ -32,7 +32,7 @@ def main() -> None:
     hold = library.default_latch().timing.hold
     bound = scheme.resiliency_window + hold
 
-    analysis = MinDelayAnalysis(netlist, library)
+    analysis = TimingEngine(netlist, library)
     violations = analysis.hold_violations(bound)
     shortest = min(
         analysis.min_endpoint_arrival(g.name)

@@ -400,12 +400,8 @@ def run_flow(
             )
             retiming.method = "selective"
             retiming.edl_endpoints = set(hardened)
-            retiming.cost = SequentialCost(
-                n_slaves=retiming.placement.slave_count(circuit.netlist),
-                n_masters=len(circuit.endpoint_names),
-                n_edl=len(hardened),
-                overhead=overhead,
-                latch_area=circuit.latch_area,
+            retiming.cost = circuit.sequential_cost(
+                retiming.placement, overhead, retiming.edl_endpoints
             )
             retiming.notes["harden_fraction"] = str(harden_fraction)
             retiming.notes["fragile_candidates"] = str(
@@ -670,14 +666,7 @@ def _finalize(
         # Rarely non-converged within the cap; make the instantiated
         # master cells consistent with the final (largest) set.
         _apply_master_cells(circuit, edl)
-    cost = SequentialCost(
-        n_slaves=placement.slave_count(circuit.netlist),
-        n_masters=len(circuit.endpoint_names),
-        n_edl=len(edl),
-        overhead=overhead,
-        latch_area=circuit.latch_area,
-    )
-    return edl, cost
+    return edl, circuit.sequential_cost(placement, overhead, edl)
 
 
 def run_methods(

@@ -452,10 +452,18 @@ class TwoPhaseCircuit:
     # -- cost accounting -------------------------------------------------------
 
     def sequential_cost(
-        self, placement: SlavePlacement, overhead: float
+        self,
+        placement: SlavePlacement,
+        overhead: float,
+        edl: Optional[Set[str]] = None,
     ) -> SequentialCost:
-        """Slave/master/EDL accounting for ``placement``."""
-        edl = self.edl_endpoints(placement)
+        """Slave/master/EDL accounting for ``placement``.
+
+        ``edl`` is the set of error-detecting masters; by default the
+        masters :meth:`edl_endpoints` finds late under ``placement``.
+        """
+        if edl is None:
+            edl = self.edl_endpoints(placement)
         return SequentialCost(
             n_slaves=placement.slave_count(self.netlist),
             n_masters=len(self._endpoint_names),

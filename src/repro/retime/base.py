@@ -70,7 +70,7 @@ def base_retime(
 
     tick = time.perf_counter()
     edl = circuit.edl_endpoints(cuts.placement)
-    cost = circuit.sequential_cost(cuts.placement, overhead)
+    cost = circuit.sequential_cost(cuts.placement, overhead, edl)
     phases["apply"] = time.perf_counter() - tick
 
     comb_area = (

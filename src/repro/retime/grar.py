@@ -91,7 +91,7 @@ def grar_retime(
         if r_values.get(pseudo, 0) == -1
     }
     edl = circuit.edl_endpoints(placement)
-    cost = circuit.sequential_cost(placement, overhead)
+    cost = circuit.sequential_cost(placement, overhead, edl)
     phases["apply"] = time.perf_counter() - tick
 
     comb_area = (

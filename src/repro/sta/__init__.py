@@ -10,7 +10,9 @@ Provides the two delay models the paper compares (Table II):
 
 The :class:`TimingEngine` answers the queries the retiming flows make:
 forward arrivals ``D^f``, per-endpoint backward delays ``D^b(v, t)``,
-endpoint arrival times, and near-critical-endpoint classification.
+endpoint arrival times and setup violations — and the hold side the
+hold fixer reads: min arrivals, fastest-path tracing and hold
+violations, cone-repaired by the same worklist.
 """
 
 from repro.sta.loads import LoadModel

@@ -7,7 +7,10 @@ Terminology follows the paper (Section III):
 * ``D^b(v, t)`` — maximum delay from the output of gate ``v`` to the
   endpoint ``t`` (a master latch D pin or primary output), computed
   backward from ``t``;
-* endpoint arrival — ``max_u D^f(u)`` over the endpoint's fanins.
+* endpoint arrival — ``max_u D^f(u)`` over the endpoint's fanins;
+* min arrival — the earliest arrival at a gate output (hold side):
+  min-mode arc delays and a min-over-fanins DP, repaired by the same
+  cone worklist as ``D^f``.
 
 Sources launch at time 0 by default (the paper's convention: a master
 always propagates data at time 0), with optional per-source offsets.
@@ -16,11 +19,12 @@ always propagates data at time 0), with optional per-source offsets.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro import metrics
+from repro.cells.cell import CombCell
 from repro.cells.library import Library
-from repro.errors import TimingError
+from repro.errors import NetlistError, TimingError
 from repro.netlist.netlist import Gate, GateType, Netlist, NetlistEvent
 from repro.sta.delay_models import (
     DelayCalculator,
@@ -30,22 +34,23 @@ from repro.sta.delay_models import (
 from repro.sta.loads import LoadModel
 
 NEG_INF = float("-inf")
+POS_INF = float("inf")
 NAN = float("nan")
 
 
 class TimingEngine:
-    """Answers the timing queries of the retiming flows.
+    """Answers the timing queries of the retiming flows and hold fixing.
 
     The engine subscribes to its netlist's change events.  In the
     default **incremental** mode, each event is translated into scoped
-    cache repair: only the touched arcs are evicted and arrivals are
-    re-propagated with a levelized worklist seeded at the changed
-    gates, stopping wherever a recomputed value is unchanged.  Repairs
-    re-run the exact per-node max/DP operations of the full pass in
-    topological order, so incremental results are bit-identical to a
-    from-scratch recompute — the ``incremental=False`` mode, which
-    answers every event with whole-engine invalidation, is kept as the
-    parity oracle.
+    cache repair: only the touched arcs are evicted and the max and
+    min arrivals are re-propagated with one levelized worklist seeded
+    at the changed gates, stopping wherever a recomputed value is
+    unchanged.  Repairs re-run the exact per-node max/min DP
+    operations of the full pass in topological order, so incremental
+    results are bit-identical to a from-scratch recompute — the
+    ``incremental=False`` mode, which answers every event with
+    whole-engine invalidation, is kept as the parity oracle.
 
     :meth:`invalidate` still drops everything explicitly (for callers
     that mutate the netlist behind the event layer's back, e.g. the
@@ -79,6 +84,8 @@ class TimingEngine:
         #: ``_forward`` so cone repair can re-seed from both states.
         self._rise: Optional[Dict[str, float]] = None
         self._fall: Optional[Dict[str, float]] = None
+        #: Min (hold) arrivals, repaired by the same cone worklist.
+        self._min: Optional[Dict[str, float]] = None
         self._backward_any: Optional[Dict[str, float]] = None
         self._backward_to: Dict[str, Dict[str, float]] = {}
         self._reverse_topo_cache: Optional[List[str]] = None
@@ -111,6 +118,7 @@ class TimingEngine:
         self._forward = None
         self._rise = None
         self._fall = None
+        self._min = None
         self._backward_any = None
         self._backward_to.clear()
         self._reverse_topo_cache = None
@@ -146,10 +154,14 @@ class TimingEngine:
         # The any-endpoint table is one O(V+E) reverse pass; rebuild it
         # lazily (it is queried between sizing passes, not inside them).
         self._backward_any = None
-        if self._forward is None:
-            return
         try:
-            self._repair_forward(dirty, removed)
+            if self._forward is not None:
+                self._repair_forward(dirty, removed)
+            if self._min is not None:
+                self._repair_cone(
+                    dirty, removed, (self._min,),
+                    _scalar_step(self._min, self._min_node),
+                )
         except BaseException:
             # A repair that raises (e.g. a gate made unreachable
             # mid-mutation) must not leave half-updated arrivals; the
@@ -158,6 +170,7 @@ class TimingEngine:
             self._forward = None
             self._rise = None
             self._fall = None
+            self._min = None
             raise
 
     # -- forward timing --------------------------------------------------
@@ -260,19 +273,25 @@ class TimingEngine:
             )
         return best_rise, best_fall
 
+    def _scalar_dp(
+        self, node: Callable[[str, Gate, Dict[str, float]], float]
+    ) -> Dict[str, float]:
+        """One full topological pass of a scalar per-node DP."""
+        arrivals: Dict[str, float] = {}
+        for name in self.netlist.topo_order():
+            gate = self.netlist[name]
+            if gate.gtype is GateType.OUTPUT:
+                continue
+            arrivals[name] = node(name, gate, arrivals)
+        return arrivals
+
     def _compute_forward(self) -> Dict[str, float]:
         calc = self.calculator
         if isinstance(calc, PathBasedCalculator):
             return self._compute_forward_rf()
         self._rise = None
         self._fall = None
-        arrivals: Dict[str, float] = {}
-        for name in self.netlist.topo_order():
-            gate = self.netlist[name]
-            if gate.gtype is GateType.OUTPUT:
-                continue
-            arrivals[name] = self._forward_node(name, gate, arrivals)
-        return arrivals
+        return self._scalar_dp(self._forward_node)
 
     def _compute_forward_rf(self) -> Dict[str, float]:
         """Two-state (rise/fall) forward DP for the path-based model."""
@@ -298,31 +317,26 @@ class TimingEngine:
             for name in rise
         }
 
-    def _repair_forward(self, dirty: Set[str], removed: Set[str]) -> None:
-        """Re-propagate arrivals from the changed gates only.
+    def _repair_cone(
+        self,
+        dirty: Set[str],
+        removed: Set[str],
+        tables: Tuple[Dict[str, float], ...],
+        recompute: Callable[[str, Gate], bool],
+    ) -> None:
+        """Re-propagate one arrival DP from the changed gates only.
 
         Seeds are the dirty gates plus their direct fanouts (the sinks
         of every possibly-changed arc); nodes pop off a heap keyed by
         topological index so each is recomputed at most once, after all
-        of its upstream repairs.  Propagation past a node stops when its
-        recomputed value equals the cached one.
+        of its upstream repairs.  ``recompute(name, gate)`` updates the
+        node's entries in ``tables`` and returns whether any changed;
+        propagation past a node stops when none did.
         """
-        assert self._forward is not None
         netlist = self.netlist
-        forward = self._forward
-        rf = isinstance(self.calculator, PathBasedCalculator)
-        rise = self._rise
-        fall = self._fall
-        if rf and (rise is None or fall is None):
-            # Rise/fall state lost (e.g. engine restored from pickle):
-            # repair is impossible, fall back to a full recompute.
-            self._forward = None
-            return
         for name in removed:
-            forward.pop(name, None)
-            if rf:
-                rise.pop(name, None)
-                fall.pop(name, None)
+            for table in tables:
+                table.pop(name, None)
         seeds: Set[str] = set()
         for name in dirty:
             if name not in netlist:
@@ -348,25 +362,7 @@ class TimingEngine:
             if gate.gtype is GateType.OUTPUT:
                 continue
             recomputed += 1
-            if rf:
-                new_rise, new_fall = self._forward_node_rf(
-                    name, gate, rise, fall
-                )
-                # != is deliberately NaN-propagating: a NaN result
-                # always counts as changed and keeps flowing downstream.
-                changed = (
-                    name not in rise
-                    or rise[name] != new_rise
-                    or fall[name] != new_fall
-                )
-                rise[name] = new_rise
-                fall[name] = new_fall
-                forward[name] = max(new_rise, new_fall)
-            else:
-                new_value = self._forward_node(name, gate, forward)
-                changed = name not in forward or forward[name] != new_value
-                forward[name] = new_value
-            if not changed:
+            if not recompute(name, gate):
                 continue
             for user in netlist.fanouts(name):
                 if user in queued or user not in index:
@@ -374,6 +370,42 @@ class TimingEngine:
                 queued.add(user)
                 heapq.heappush(heap, (size - index[user], user))
         metrics.count("sta.incremental.nodes_recomputed", recomputed)
+
+    def _repair_forward(self, dirty: Set[str], removed: Set[str]) -> None:
+        """Cone-repair ``D^f`` (and the rise/fall states it derives from)."""
+        forward = self._forward
+        assert forward is not None
+        if not isinstance(self.calculator, PathBasedCalculator):
+            self._repair_cone(
+                dirty, removed, (forward,),
+                _scalar_step(forward, self._forward_node),
+            )
+            return
+        rise = self._rise
+        fall = self._fall
+        if rise is None or fall is None:
+            # Rise/fall state lost (e.g. engine restored from pickle):
+            # repair is impossible, fall back to a full recompute.
+            self._forward = None
+            return
+
+        def recompute(name: str, gate: Gate) -> bool:
+            new_rise, new_fall = self._forward_node_rf(
+                name, gate, rise, fall
+            )
+            # != is deliberately NaN-propagating: a NaN result always
+            # counts as changed and keeps flowing downstream.
+            changed = (
+                name not in rise
+                or rise[name] != new_rise
+                or fall[name] != new_fall
+            )
+            rise[name] = new_rise
+            fall[name] = new_fall
+            forward[name] = max(new_rise, new_fall)
+            return changed
+
+        self._repair_cone(dirty, removed, (forward, rise, fall), recompute)
 
     def forward_arrival(self, name: str) -> float:
         """``D^f``: latest arrival at the output of gate ``name``."""
@@ -400,6 +432,115 @@ class TimingEngine:
                 payload={"endpoint": endpoint},
             )
         return max(self.forward_arrival(d) for d in gate.fanins)
+
+    # -- min (hold) timing ----------------------------------------------------
+
+    def min_edge_delay(self, driver: str, sink: str) -> float:
+        """Fastest single-transition delay of ``sink`` from ``driver``."""
+        # Re-entrant from the min repair: pending sets are already
+        # drained there, so this flush is a no-op during repair itself.
+        self._flush_events()
+        gate = self.netlist[sink]
+        if not gate.is_comb:
+            return 0.0
+        if self.library is None:
+            raise TimingError(
+                f"gate {sink!r}: min arrivals need a cell library, and "
+                f"this engine has only a delay calculator",
+                payload={"gate": sink},
+            )
+        cell = self.library[gate.cell]
+        if not isinstance(cell, CombCell):
+            raise NetlistError(
+                [f"gate {gate.name!r}: cell {gate.cell!r} is not "
+                 f"combinational"]
+            )
+        load = self.calculator.load(sink)
+        best = POS_INF
+        for pin, fanin in zip(cell.inputs, gate.fanins):
+            if fanin != driver:
+                continue
+            best = min(best, cell.arc(pin).min_delay(load, 0.0))
+        if best == POS_INF:
+            raise KeyError(f"{driver!r} does not drive {sink!r}")
+        return best
+
+    def _min_node(
+        self, name: str, gate: Gate, arrivals: Dict[str, float]
+    ) -> float:
+        """Min arrival of one gate (shared by full DP and repair)."""
+        if gate.is_source:
+            return self._source_offset(name)
+        if not gate.fanins:
+            raise TimingError(
+                f"gate {name!r} has no fanins to propagate "
+                f"min arrivals from",
+                payload={"gate": name},
+            )
+        for driver in gate.fanins:
+            if driver not in arrivals:
+                raise TimingError(
+                    f"gate {name!r} reads {driver!r}, which has "
+                    f"no min arrival (endpoint or outside the "
+                    f"combinational cloud)",
+                    payload={"gate": name, "fanin": driver},
+                )
+        return min(
+            arrivals[d] + self.min_edge_delay(d, name)
+            for d in gate.fanins
+        )
+
+    def min_arrival(self, name: str) -> float:
+        """Earliest possible arrival at the output of ``name``."""
+        self._flush_events()
+        if self._min is None:
+            self._min = self._scalar_dp(self._min_node)
+        return self._min[name]
+
+    def min_endpoint_arrival(self, endpoint: str) -> float:
+        """Earliest data arrival at an endpoint's input."""
+        gate = self.netlist[endpoint]
+        if gate.gtype not in (GateType.OUTPUT, GateType.DFF):
+            raise ValueError(f"{endpoint!r} is not an endpoint")
+        if not gate.fanins:
+            raise TimingError(
+                f"endpoint {endpoint!r} has no fanins; min arrival is "
+                f"undefined",
+                payload={"gate": endpoint},
+            )
+        return min(self.min_arrival(d) for d in gate.fanins)
+
+    def trace_min_path(self, endpoint: str) -> List[str]:
+        """The fastest path into ``endpoint`` (for hold fixing)."""
+        gate = self.netlist[endpoint]
+        current = min(gate.fanins, key=self.min_arrival)
+        path = [endpoint, current]
+        while not self.netlist[current].is_source:
+            node = self.netlist[current]
+            current = min(
+                node.fanins,
+                key=lambda d: self.min_arrival(d)
+                + self.min_edge_delay(d, current),
+            )
+            path.append(current)
+        path.reverse()
+        return path
+
+    def hold_violations(self, required_min: float) -> Dict[str, float]:
+        """Endpoints whose fastest path undercuts ``required_min``.
+
+        For a two-phase resilient design the bound is the resiliency
+        window width plus the master's hold time: data launched at the
+        next cycle's time-0 must not reach an error-detecting master
+        before its window (which extends ``phi1`` past the capturing
+        edge) has closed.
+        """
+        out: Dict[str, float] = {}
+        for gate in self.endpoints():
+            arrival = self.min_endpoint_arrival(gate.name)
+            if arrival < required_min - 1e-12:
+                out[gate.name] = required_min - arrival
+        return out
 
     # -- backward timing ---------------------------------------------------
 
@@ -516,22 +657,6 @@ class TimingEngine:
         arrivals = self.endpoint_arrivals()
         return max(arrivals.values()) if arrivals else 0.0
 
-    def near_critical_endpoints(
-        self, window_open: float, window_close: Optional[float] = None
-    ) -> List[str]:
-        """Endpoints whose arrival falls after ``window_open``.
-
-        With ``window_close`` given, arrivals beyond it are *violations*
-        rather than near-critical and are still included (callers that
-        need the distinction use :meth:`violations`).
-        """
-        names = []
-        for gate in self.endpoints():
-            arrival = self.endpoint_arrival(gate.name)
-            if arrival > window_open + 1e-12:
-                names.append(gate.name)
-        return names
-
     def violations(self, limit: float) -> Dict[str, float]:
         """Endpoints whose arrival exceeds ``limit`` and by how much."""
         out: Dict[str, float] = {}
@@ -541,3 +666,17 @@ class TimingEngine:
                 out[gate.name] = arrival - limit
         return out
 
+
+def _scalar_step(
+    table: Dict[str, float],
+    node: Callable[[str, Gate, Dict[str, float]], float],
+) -> Callable[[str, Gate], bool]:
+    """A :meth:`TimingEngine._repair_cone` step for a scalar DP table."""
+
+    def recompute(name: str, gate: Gate) -> bool:
+        value = node(name, gate, table)
+        changed = name not in table or table[name] != value
+        table[name] = value
+        return changed
+
+    return recompute

@@ -3,10 +3,11 @@
 When a master is error-detecting, its sampling window extends ``phi1``
 past the capturing edge, so next-cycle data racing through a short
 path can corrupt it.  The standard fix — what a commercial tool's
-``fix_hold`` does — pads the fast paths with buffers.  This engine
+``fix_hold`` does — pads the fast paths with buffers.  :func:`fix_hold`
 inserts the minimum buffers on each violating endpoint's fastest path
 until the min-arrival bound holds (or the endpoint is declared
-unfixable), re-running min-delay analysis between passes.
+unfixable).  Min arrivals come from the one :class:`TimingEngine`,
+which cone-repairs them after each spliced buffer.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Dict, List, Optional, Set
 
 from repro.cells.library import Library
 from repro.netlist.netlist import Gate, GateType, Netlist
-from repro.sta.min_delay import MinDelayAnalysis
+from repro.sta.engine import TimingEngine
 
 
 @dataclass
@@ -66,7 +67,7 @@ def fix_hold(
     only — non-EDL masters never sample inside the window).
     """
     report = HoldFixReport()
-    analysis = MinDelayAnalysis(netlist, library)
+    analysis = TimingEngine(netlist, library)
     buffer_cell = library.pick_comb("BUF", 1)
     counter = 0
 
@@ -88,7 +89,7 @@ def fix_hold(
         driver, sink = path[-2], path[-1]
         name = f"hold_buf{counter}"
         counter += 1
-        # The add + rewire emit change events; the analysis repairs
+        # The add + rewire emit change events; the engine repairs
         # only the spliced connection's cone before its next query.
         _insert_buffer(netlist, library, driver, sink, name)
         report.inserted.append(name)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import time
 from typing import Dict, Optional
 
-from repro.latches.resilient import SequentialCost, TwoPhaseCircuit
+from repro.latches.resilient import TwoPhaseCircuit
 from repro.retime.cutset import compute_cut_sets
 from repro.retime.forced import solve_forced_cuts
 from repro.retime.regions import compute_regions
@@ -86,14 +86,8 @@ def vl_retime(
     types = apply_required_upgrades(circuit, placement, types, swap_report)
     if post_swap:
         types = swap_unnecessary_edl(circuit, placement, types, swap_report)
-    n_edl = sum(1 for is_edl in types.values() if is_edl)
-    cost = SequentialCost(
-        n_slaves=placement.slave_count(circuit.netlist),
-        n_masters=len(circuit.endpoint_names),
-        n_edl=n_edl,
-        overhead=overhead,
-        latch_area=circuit.latch_area,
-    )
+    edl_set = {name for name, is_edl in types.items() if is_edl}
+    cost = circuit.sequential_cost(placement, overhead, edl_set)
     phases["apply"] = time.perf_counter() - tick
 
     comb_area = (
@@ -101,7 +95,6 @@ def vl_retime(
         if circuit.library is not None
         else 0.0
     )
-    edl_set = {name for name, is_edl in types.items() if is_edl}
     return RetimingResult(
         method=f"{variant.value}-rar" + ("" if post_swap else "-noswap"),
         circuit_name=circuit.netlist.name,

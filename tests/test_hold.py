@@ -1,27 +1,27 @@
-"""Tests for min-delay analysis and hold fixing."""
+"""Tests for the engine's min-delay (hold) arrivals and hold fixing."""
 
 import pytest
 
-from repro.sta import TimingEngine
-from repro.sta.min_delay import MinDelayAnalysis
+from repro.circuits.fig4 import FIG4_DELAYS, fig4_netlist
+from repro.errors import TimingError
+from repro.sta import FixedDelayCalculator, TimingEngine
 from repro.synth.hold_fix import fix_hold
 
 
 @pytest.fixture()
 def analysis(small_netlist, library):
-    return MinDelayAnalysis(small_netlist.copy(), library)
+    return TimingEngine(small_netlist.copy(), library)
 
 
 class TestMinDelay:
     def test_min_bounded_by_max(self, small_netlist, library):
         """Minimum arrivals can never exceed maximum arrivals."""
         netlist = small_netlist.copy()
-        min_dp = MinDelayAnalysis(netlist, library)
-        max_dp = TimingEngine(netlist, library)
+        engine = TimingEngine(netlist, library)
         for gate in netlist.endpoints():
             assert (
-                min_dp.min_endpoint_arrival(gate.name)
-                <= max_dp.endpoint_arrival(gate.name) + 1e-9
+                engine.min_endpoint_arrival(gate.name)
+                <= engine.endpoint_arrival(gate.name) + 1e-9
             )
 
     def test_sources_at_zero(self, analysis):
@@ -52,11 +52,22 @@ class TestMinDelay:
                 analysis.netlist.comb_gates()[0].name
             )
 
+    def test_needs_a_cell_library(self):
+        """An engine built from a calculator alone (Fig. 4's fixed
+        delays) has no min-mode arcs: a typed error, not a crash."""
+        netlist = fig4_netlist()
+        engine = TimingEngine(
+            netlist, None,
+            calculator=FixedDelayCalculator(netlist, FIG4_DELAYS),
+        )
+        with pytest.raises(TimingError, match="cell library"):
+            engine.min_endpoint_arrival("O9")
+
 
 class TestHoldFix:
     def test_fixes_violations(self, small_netlist, library):
         netlist = small_netlist.copy()
-        analysis = MinDelayAnalysis(netlist, library)
+        analysis = TimingEngine(netlist, library)
         # A bound just above the current shortest endpoint path.
         shortest = min(
             analysis.min_endpoint_arrival(g.name)
@@ -69,12 +80,12 @@ class TestHoldFix:
         assert report.n_buffers > 0
         assert not report.unresolved
         assert set(report.fixed_endpoints) == set(before)
-        after = MinDelayAnalysis(netlist, library)
+        after = TimingEngine(netlist, library)
         assert not after.hold_violations(bound)
 
     def test_restricted_endpoints(self, small_netlist, library):
         netlist = small_netlist.copy()
-        analysis = MinDelayAnalysis(netlist, library)
+        analysis = TimingEngine(netlist, library)
         shortest_ep = min(
             (g.name for g in netlist.endpoints()),
             key=analysis.min_endpoint_arrival,
@@ -85,7 +96,7 @@ class TestHoldFix:
         )
         assert not report.unresolved
         # Other endpoints were not in scope (may still violate).
-        check = MinDelayAnalysis(netlist, library)
+        check = TimingEngine(netlist, library)
         assert check.min_endpoint_arrival(shortest_ep) >= bound - 1e-9
 
     def test_no_op_when_clean(self, small_netlist, library):
@@ -97,7 +108,7 @@ class TestHoldFix:
     def test_buffers_preserve_function(self, small_netlist, library):
         """Inserted buffers must not change logic values."""
         netlist = small_netlist.copy()
-        analysis = MinDelayAnalysis(netlist, library)
+        analysis = TimingEngine(netlist, library)
         shortest = min(
             analysis.min_endpoint_arrival(g.name)
             for g in netlist.endpoints()
@@ -129,7 +140,7 @@ class TestHoldFix:
         """Padding short paths must not blow up the critical path."""
         netlist = small_netlist.copy()
         before = TimingEngine(netlist, library).worst_arrival()
-        analysis = MinDelayAnalysis(netlist, library)
+        analysis = TimingEngine(netlist, library)
         shortest = min(
             analysis.min_endpoint_arrival(g.name)
             for g in netlist.endpoints()

@@ -10,10 +10,10 @@ Each test class pins one fix:
 * :class:`TestSettledCapture` — ``estimate_error_rate`` sampled the
   next-cycle flop state at ``window_close`` while claiming settled
   capture; it now uses the waveform's final value.
-* :class:`TestMinDelayDiagnostics` — ``MinDelayAnalysis`` crashed with
-  a bare ``min() arg is an empty sequence`` / ``KeyError`` on
-  malformed netlists; it now raises :class:`TimingError` naming the
-  gate.
+* :class:`TestMinDelayDiagnostics` — the min-delay (hold) DP, now
+  :class:`TimingEngine`'s min arrivals, crashed with a bare
+  ``min() arg is an empty sequence`` / ``KeyError`` on malformed
+  netlists; it now raises :class:`TimingError` naming the gate.
 * :class:`TestEndpointWithoutFanins` — ``run_cycle`` raised an opaque
   error for an endpoint with no fanins; both backends now raise
   :class:`NetlistError` naming the endpoint.
@@ -44,7 +44,7 @@ from repro.sim import (
 )
 from repro.sim.logicsim import _append_preempt
 from repro.sim.vectors import VectorSource
-from repro.sta.min_delay import MinDelayAnalysis
+from repro.sta import TimingEngine
 
 
 def _tiny_netlist(library):
@@ -232,7 +232,7 @@ class TestMinDelayDiagnostics:
     def test_comb_gate_without_fanins(self, library):
         netlist = _tiny_netlist(library)
         object.__setattr__(netlist["g2"], "fanins", ())
-        analysis = MinDelayAnalysis(netlist, library)
+        analysis = TimingEngine(netlist, library)
         with pytest.raises(TimingError, match="g2"):
             analysis.min_endpoint_arrival("y")
 
@@ -241,14 +241,14 @@ class TestMinDelayDiagnostics:
         ``y``) has no min arrival; the old DP died with a KeyError."""
         netlist = _tiny_netlist(library)
         object.__setattr__(netlist["g1"], "fanins", ("a", "y"))
-        analysis = MinDelayAnalysis(netlist, library)
+        analysis = TimingEngine(netlist, library)
         with pytest.raises(TimingError, match="g1"):
             analysis.min_endpoint_arrival("y")
 
     def test_endpoint_without_fanins(self, library):
         netlist = _tiny_netlist(library)
         object.__setattr__(netlist["y"], "fanins", ())
-        analysis = MinDelayAnalysis(netlist, library)
+        analysis = TimingEngine(netlist, library)
         with pytest.raises(TimingError, match="y"):
             analysis.min_endpoint_arrival("y")
 

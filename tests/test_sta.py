@@ -188,16 +188,6 @@ class TestEngine:
         assert engine.violations(worst) == {}
         assert len(engine.violations(0.0)) == len(engine.endpoints())
 
-    def test_near_critical_endpoints(self, small_prepared):
-        scheme, circuit = small_prepared
-        engine = circuit.engine
-        nce = engine.near_critical_endpoints(scheme.window_open)
-        arrivals = engine.endpoint_arrivals()
-        expected = {
-            n for n, a in arrivals.items() if a > scheme.window_open + 1e-12
-        }
-        assert set(nce) == expected
-
     def test_invalidate_after_sizing(self, tiny_netlist, library):
         dup = tiny_netlist.copy()
         engine = TimingEngine(dup, library)

@@ -600,8 +600,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--retime-cache", default="on", choices=["on", "off"],
-        help="reuse compiled retiming problems and simplex warm starts"
-             " across overhead sweeps; 'off' recomputes everything"
+        help="reuse compiled retiming problems, simplex warm starts"
+             " and repeated sizing runs across overhead sweeps; 'off'"
+             " recomputes everything and re-runs every sizing pass"
              " (the bit-parity oracle)",
     )
     run.add_argument(
@@ -673,9 +674,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tables.add_argument(
         "--retime-cache", default="on", choices=["on", "off"],
-        help="reuse compiled retiming problems and simplex warm starts"
-             " across the overhead sweep; 'off' recomputes everything"
-             " (the bit-parity oracle)",
+        help="reuse compiled retiming problems, simplex warm starts"
+             " and repeated sizing runs across the overhead sweep;"
+             " 'off' recomputes everything and re-runs every sizing"
+             " pass (the bit-parity oracle)",
     )
     tables.add_argument(
         "--store", default=None, metavar="DIR",

@@ -32,7 +32,8 @@ from repro.retime.base import base_retime
 from repro.retime.grar import grar_retime
 from repro.retime.result import RetimingResult
 from repro.sta import TimingEngine
-from repro.store import ArtifactStore, open_store, use_store
+from repro.store import ArtifactStore, get_store, open_store, use_store
+from repro.synth.memo import sizing_memo_enabled, use_sizing_memo
 from repro.synth.recovery import RecoveryReport, recover_area
 from repro.synth.sizing import (
     RescueReport,
@@ -197,8 +198,9 @@ def run_flow(
 
     ``store`` scopes the run to an artifact store (an
     :class:`~repro.store.ArtifactStore` or a directory path): compiled
-    retiming problems are fetched from / landed in it instead of the
-    ambient (process-default) store.  A persistent store shares those
+    retiming problems (and, in its memory tier, replayable sizing
+    runs) are fetched from / landed in it instead of the ambient
+    (process-default) store.  A persistent store shares those
     compiles across processes and invocations; results are
     bit-identical either way — the store only changes where the
     invariant work comes from.
@@ -227,11 +229,13 @@ def run_flow(
     ``sta_engine`` must be ``"object"``, the one timing engine.
 
     ``retime_cache`` enables the compiled-retiming cache and simplex
-    warm-starts across an overhead sweep (``False`` recomputes and
-    cold-starts every solve, the bit-parity oracle — results are
-    identical, only the cost differs).  The rescue pass resizes gates
-    under a c-dependent budget, so the post-rescue re-retime misses
-    the cache by fingerprint — again correct, merely slower.
+    warm-starts across an overhead sweep, and the replay of repeated
+    sizing runs (:mod:`repro.synth.memo`); ``False`` recomputes and
+    cold-starts every solve and re-runs every sizing pass, the
+    bit-parity oracle — results are identical, only the cost differs.
+    The rescue pass resizes gates under a c-dependent budget, so the
+    post-rescue re-retime misses the cache by fingerprint — again
+    correct, merely slower.
 
     ``rescue_budget_scale`` scales the G-RAR EDL-avoidance budget: 0
     disables the combinational speed-ups entirely, values above 1 buy
@@ -245,12 +249,14 @@ def run_flow(
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     check_timing_engine(sta_engine)
-    if store is not None:
-        resolved = open_store(store)
-        # Re-enter with the store ambient so every cache site below
-        # (compile_retiming in the retimers) reads it without
-        # threading the handle through.
-        with use_store(resolved):
+    if store is not None or sizing_memo_enabled() != bool(retime_cache):
+        # Re-enter with the store ambient and the sizing memo scoped to
+        # the cache flag, so every cache site below (compile_retiming
+        # in the retimers, the sizing passes) reads them without
+        # threading the handles through.
+        with use_store(open_store(store) or get_store()), use_sizing_memo(
+            retime_cache
+        ):
             return run_flow(
                 method, netlist, library, overhead, scheme=scheme,
                 model=model, sizing=sizing,

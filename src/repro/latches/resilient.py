@@ -292,35 +292,54 @@ class TwoPhaseCircuit:
 
         The second dict drives critical-path tracing in the size-only
         incremental compile.
+
+        The slave-latch test reads the labels directly (the cases of
+        :meth:`SlavePlacement.edge_weight_after`): a host edge carries
+        a slave iff its source is not retimed, an edge into a master D
+        pin iff its driver is retimed, and an edge into a comb gate iff
+        its driver is retimed and the gate is not.  The max over fanins
+        keeps ``max()``'s semantics: the first value stands unless a
+        later one is strictly greater.
         """
         launch_floor = self.scheme.slave_open + self.latch_ck_q
+        d_q = self.latch_d_q
+        retimed = placement.retimed
+        forward_arrival = self.engine.forward_arrival
+        edge_delay = self.engine.calculator.edge_delay
+        netlist = self.netlist
         post: Dict[str, float] = {}
 
-        def edge_arrival(driver: str, sink: str) -> float:
-            if placement.edge_weight_after(self.netlist, driver, sink) == 1:
-                return max(launch_floor, self.df(driver) + self.latch_d_q)
-            return post[driver]
+        def launch(driver: str) -> float:
+            through = forward_arrival(driver) + d_q
+            return through if through > launch_floor else launch_floor
 
-        arrivals: Dict[str, float] = {}
-        for name in self.netlist.topo_order():
-            gate = self.netlist[name]
+        for name in netlist.topo_order():
+            gate = netlist[name]
             if gate.is_source:
-                if placement.edge_weight_after(self.netlist, HOST, name) == 1:
-                    post[name] = launch_floor
-                else:
-                    post[name] = 0.0
+                post[name] = 0.0 if name in retimed else launch_floor
                 continue
             if gate.gtype is GateType.OUTPUT:
                 continue
-            post[name] = max(
-                edge_arrival(driver, name) + self.edge_delay(driver, name)
-                for driver in gate.fanins
-            )
+            sink_retimed = name in retimed
+            best = None
+            for driver in gate.fanins:
+                if driver in retimed and not sink_retimed:
+                    value = launch(driver)
+                else:
+                    value = post[driver]
+                value += edge_delay(driver, name)
+                if best is None or value > best:
+                    best = value
+            post[name] = best
+
+        arrivals: Dict[str, float] = {}
         for endpoint in self._endpoint_names:
-            gate = self.netlist[endpoint]
-            arrivals[endpoint] = max(
-                edge_arrival(driver, endpoint) for driver in gate.fanins
-            )
+            best = None
+            for driver in netlist[endpoint].fanins:
+                value = launch(driver) if driver in retimed else post[driver]
+                if best is None or value > best:
+                    best = value
+            arrivals[endpoint] = best
         return arrivals, post
 
     # -- EDL status ---------------------------------------------------------

@@ -23,6 +23,7 @@ from repro.store.fingerprint import (
     library_fingerprint,
     memo_cell_key,
     netlist_fingerprint,
+    sizing_fingerprint,
 )
 from repro.store.memo import MEMO_SCHEMA, SweepMemo
 from repro.store.store import (
@@ -57,6 +58,7 @@ __all__ = [
     "netlist_fingerprint",
     "open_store",
     "set_default_store",
+    "sizing_fingerprint",
     "unique_tmp_name",
     "use_store",
 ]

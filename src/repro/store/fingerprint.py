@@ -24,7 +24,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Collection,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 __all__ = [
     "ENGINE_VERSION",
@@ -36,6 +45,7 @@ __all__ = [
     "library_fingerprint",
     "memo_cell_key",
     "netlist_fingerprint",
+    "sizing_fingerprint",
 ]
 
 #: Bumped whenever a change to the retimer or the delay models makes
@@ -57,10 +67,14 @@ class Fingerprint:
         self.feed(kind, ENGINE_VERSION)
 
     def feed(self, *parts: object) -> "Fingerprint":
-        """Append parts (rendered via ``str``, ``\\x1f``-terminated)."""
-        for part in parts:
-            self._digest.update(str(part).encode("utf-8"))
-            self._digest.update(_SEP)
+        """Append parts (rendered via ``str``, ``\\x1f``-terminated).
+
+        One digest update per call: the bytes are those of one update
+        per part, so callers may batch parts freely."""
+        if parts:
+            self._digest.update(
+                ("\x1f".join(map(str, parts)) + "\x1f").encode("utf-8")
+            )
         return self
 
     def hexdigest(self) -> str:
@@ -87,9 +101,11 @@ def feed_netlist(fp: Fingerprint, netlist: Any) -> Fingerprint:
     netlist collide; any resize or rewire changes the digest.
     """
     fp.feed("netlist", netlist.name)
+    parts: List[str] = []
     for gate in netlist:
-        fp.feed(gate.name, gate.gtype.value, gate.cell or "", *gate.fanins)
-    return fp
+        parts += (gate.name, gate.gtype.value, gate.cell or "")
+        parts += gate.fanins
+    return fp.feed(*parts)
 
 
 def netlist_fingerprint(netlist: Any) -> str:
@@ -145,18 +161,56 @@ def circuit_fingerprint(circuit: Any, conflict_policy: str = "error") -> str:
     digest.
     """
     fp = Fingerprint("compiled-grar")
+    _feed_circuit(fp, circuit, type(circuit.engine.calculator).__name__)
+    fp.feed("conflict_policy", conflict_policy)
+    return fp.hexdigest()
+
+
+def sizing_fingerprint(
+    kind: str,
+    circuit: Any,
+    retimed: Optional[Collection[str]],
+    limits: Mapping[str, float],
+    params: Sequence[object],
+) -> str:
+    """Key of one sizing run (``"sizing"`` namespace).
+
+    Hashes what the run reads: the circuit as
+    :func:`circuit_fingerprint` sees it, except that the delay model is
+    named by its qualified class and load model; the placement's
+    retimed set (``None`` for runs that read plain arrivals); the
+    limits in their order, which breaks the runs' ties; and the
+    run's knobs (``params``).  ``kind`` names the entry point.
+    """
+    fp = Fingerprint("sizing")
+    fp.feed(kind)
+    calculator = circuit.engine.calculator
+    cls = type(calculator)
+    _feed_circuit(
+        fp, circuit, f"{cls.__module__}.{cls.__qualname__}",
+        repr(calculator.load_model),
+    )
+    if retimed is not None:
+        fp.feed("retimed", len(retimed), *sorted(retimed))
+    fp.feed("limits", len(limits))
+    fp.feed(*(part for item in limits.items() for part in item))
+    fp.feed("params", *params)
+    return fp.hexdigest()
+
+
+def _feed_circuit(fp: Fingerprint, circuit: Any, *model: object) -> None:
+    """Feed the timing view of a circuit: netlist, clock scheme, latch
+    timing, the delay ``model`` parts, source offsets and library."""
     feed_netlist(fp, circuit.netlist)
     scheme = circuit.scheme
     fp.feed("scheme", scheme.phi1, scheme.gamma1, scheme.phi2, scheme.gamma2)
     fp.feed("latch", circuit.latch_ck_q, circuit.latch_d_q, circuit.latch_area)
     engine = circuit.engine
-    fp.feed("model", type(engine.calculator).__name__)
+    fp.feed("model", *model)
     for name in sorted(engine.source_offsets):
         fp.feed("offset", name, engine.source_offsets[name])
     if circuit.library is not None:
         fp.feed("library", library_fingerprint(circuit.library))
-    fp.feed("conflict_policy", conflict_policy)
-    return fp.hexdigest()
 
 
 def config_fingerprint(kind: str, config: Mapping[str, Any]) -> str:

@@ -6,12 +6,17 @@ per-namespace in-memory LRU.  Keys are the canonical fingerprints of
 (compiled retiming problems, memo payloads).  The namespace map:
 
 ===============  ====================================================
-namespace        legacy cache it replaced
+namespace        contents
 ===============  ====================================================
-compiled-grar    ``retime.compile``'s module-level LRU
+compiled-grar    compiled G-RAR problems (``retime.compile``'s old LRU)
 suite-memo       the :class:`ExperimentSuite` resume memo
 scenario-memo    the scenario engine's resume memo
+sizing           replayable sizing runs; memory-only, 64 entries
 ===============  ====================================================
+
+A namespace in :data:`MEMORY_ONLY` never touches disk, even in a
+persistent store, and keeps its fixed LRU size whatever ``capacity``
+the store was opened with.
 
 Disk layout and durability
 --------------------------
@@ -38,8 +43,8 @@ bytes_written,corrupt}``.
 Ambient plumbing
 ----------------
 
-The cache site (``compile_retiming``) reads the ambient store via
-:func:`get_store`.  The process default is a memory-only store —
+The cache sites (``compile_retiming`` and the sizing memo,
+``repro.synth.memo``) read the ambient store via :func:`get_store`.  The process default is a memory-only store —
 exactly the legacy per-process LRU behavior; the CLI's ``--store
 DIR`` swaps in a persistent one via :func:`set_default_store`, and
 scoped overrides (worker processes, ``run_flow(store=...)``) use the
@@ -78,6 +83,7 @@ from repro.atomic_io import atomic_write_bytes, atomic_write_text
 __all__ = [
     "ArtifactStore",
     "DEFAULT_CAPACITY",
+    "MEMORY_ONLY",
     "STORE_SCHEMA",
     "StoreError",
     "get_store",
@@ -97,6 +103,12 @@ _STAMP_NAME = "store.json"
 #: Default per-namespace LRU capacity — the 8 entries the legacy
 #: ``retime.compile`` cache kept.
 DEFAULT_CAPACITY = 8
+
+#: Memory-only namespaces and their fixed LRU sizes.  ``sizing``
+#: entries replay a sizing run in the process that made it; 64 holds
+#: one (circuit, method) overhead sweep's rescue trials and sizing
+#: passes at every ``c``.
+MEMORY_ONLY: Dict[str, int] = {"sizing": 64}
 
 _MISS = object()
 
@@ -160,7 +172,9 @@ class ArtifactStore:
     # -- capacities ---------------------------------------------------------
 
     def capacity_of(self, namespace: str) -> int:
-        return self.capacities.get(namespace, self.capacity)
+        return self.capacities.get(
+            namespace, MEMORY_ONLY.get(namespace, self.capacity)
+        )
 
     def set_capacity(self, namespace: str, capacity: int) -> None:
         """Resize one namespace's memory LRU (trimming immediately)."""
@@ -188,7 +202,7 @@ class ArtifactStore:
             metrics.count(f"store.{namespace}.hits")
             metrics.count(f"store.{namespace}.mem_hits")
             return tier[key]
-        if self.root is not None:
+        if self.root is not None and namespace not in MEMORY_ONLY:
             value = self._disk_get(namespace, key)
             if value is not _MISS:
                 metrics.count(f"store.{namespace}.hits")
@@ -201,9 +215,14 @@ class ArtifactStore:
     def put(
         self, namespace: str, key: str, value: Any, persist: bool = True
     ) -> Any:
-        """Insert an artifact into memory (and, when persistent, disk)."""
+        """Insert an artifact into memory (and, when persistent and the
+        namespace is not memory-only, disk)."""
         self._remember(namespace, key, value)
-        if persist and self.root is not None:
+        if (
+            persist
+            and self.root is not None
+            and namespace not in MEMORY_ONLY
+        ):
             self._disk_put(namespace, key, value)
         return value
 

@@ -5,7 +5,9 @@ tool the paper drives after retiming: one estimate-apply upsizing loop
 behind two front ends (:func:`size_only_compile` on latch-aware
 arrivals for a placement, :func:`speed_paths` on plain path delays, and
 the cost-aware :func:`rescue_paths` on top of the latter), slack-driven
-area recovery, and hold fixing by buffer insertion.  Timing reports,
+area recovery, and hold fixing by buffer insertion.  A sizing run whose
+input was sized before replays the stored outcome
+(:mod:`repro.synth.memo`).  Timing reports,
 the retiming command and the Table I clock recipe live with the flows
 that use them (:mod:`repro.sta`, :mod:`repro.retime`,
 :func:`repro.flows.prepare_circuit`).

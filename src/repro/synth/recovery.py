@@ -29,6 +29,7 @@ from typing import Dict, List, Mapping, Tuple
 from repro.cells.cell import CombCell
 from repro.latches.placement import SlavePlacement
 from repro.latches.resilient import EPS, TwoPhaseCircuit
+from repro.synth.memo import memoized
 from repro.synth.sizing import size_only_compile
 
 INF = float("inf")
@@ -112,7 +113,27 @@ def recover_area(
     max_passes: int = 4,
     slack_share: float = 0.45,
 ) -> RecoveryReport:
-    """Downsize gates whose slack against ``limits`` allows it."""
+    """Downsize gates whose slack against ``limits`` allows it.
+
+    A repeat of an earlier run's input replays its outcome, the
+    safety net's swaps included (:mod:`repro.synth.memo`).
+    """
+    return memoized(
+        "recover_area", circuit, placement.retimed, limits,
+        (max_passes, slack_share),
+        lambda: _recover_area(
+            circuit, placement, limits, max_passes, slack_share
+        ),
+    )
+
+
+def _recover_area(
+    circuit: TwoPhaseCircuit,
+    placement: SlavePlacement,
+    limits: Mapping[str, float],
+    max_passes: int,
+    slack_share: float,
+) -> RecoveryReport:
     report = RecoveryReport()
     library = circuit.library
     if library is None:

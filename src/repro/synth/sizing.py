@@ -30,6 +30,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 from repro.cells.cell import CombCell
 from repro.latches.placement import SlavePlacement
 from repro.latches.resilient import EPS, TwoPhaseCircuit
+from repro.synth.memo import memoized
 
 
 @dataclass
@@ -262,7 +263,8 @@ def size_only_compile(
     window close for error-detecting masters, ``Pi`` for masters that
     retiming promised would be non-error-detecting.  Each pass times
     the placement once (latch-aware arrivals) and traces every
-    violating path on that snapshot.
+    violating path on that snapshot.  A repeat of an earlier run's
+    input replays its outcome (:mod:`repro.synth.memo`).
     """
 
     def measure() -> Measurement:
@@ -274,8 +276,12 @@ def size_only_compile(
             ),
         )
 
-    return _upsize_loop(
-        circuit, limits, measure, max_passes, endpoints_per_pass
+    return memoized(
+        "size_only_compile", circuit, placement.retimed, limits,
+        (max_passes, endpoints_per_pass),
+        lambda: _upsize_loop(
+            circuit, limits, measure, max_passes, endpoints_per_pass
+        ),
     )
 
 
@@ -293,7 +299,9 @@ def speed_paths(
     worst path below ``Pi`` is what turns an always-error-detecting
     master into a retiming target ("speeding up the combinational
     logic to avoid more EDLs").  Arrivals and traces read the live
-    timing engine.  Retiming should be re-run afterwards.
+    timing engine.  Retiming should be re-run afterwards.  A repeat of
+    an earlier run's input replays its outcome
+    (:mod:`repro.synth.memo`).
     """
     engine = circuit.engine
     endpoint_set = set(g.name for g in circuit.netlist.endpoints())
@@ -309,9 +317,13 @@ def speed_paths(
     def trace(node: str) -> List[str]:
         return _trace_plain_path(circuit, node)
 
-    return _upsize_loop(
-        circuit, limits, lambda: (arrival, trace), max_passes,
-        endpoints_per_pass,
+    return memoized(
+        "speed_paths", circuit, None, limits,
+        (max_passes, endpoints_per_pass),
+        lambda: _upsize_loop(
+            circuit, limits, lambda: (arrival, trace), max_passes,
+            endpoints_per_pass,
+        ),
     )
 
 
@@ -367,8 +379,14 @@ def rescue_paths(
     # with growing c (Table VI).
     engine = circuit.engine
     by_cost = sorted(candidates, key=engine.endpoint_arrival)
+    tried: List[str] = []
     for fraction in (1.0, 0.75, 0.5, 0.25):
         subset = by_cost[: max(1, int(len(by_cost) * fraction))]
+        if subset == tried:
+            # Few candidates: this batch was just tried and reverted,
+            # and would be rejected again from the same state.
+            continue
+        tried = subset
         batch = speed_paths(circuit, {e: target for e in subset})
         batch_rescued = [e for e in subset if e not in batch.unresolved]
         if batch_rescued and batch.area_delta <= budget_per_endpoint * len(

@@ -9,6 +9,17 @@ from repro.circuits.generator import CloudSpec, generate_circuit
 from repro.flows import prepare_circuit
 from repro.latches import SlavePlacement
 from repro.netlist import NetlistBuilder
+from repro.store import ArtifactStore, set_default_store
+
+
+@pytest.fixture(autouse=True)
+def _fresh_store():
+    """Give each test an empty process-default store, so no test
+    replays a sizing run or reuses a compiled problem another test
+    stored."""
+    previous = set_default_store(ArtifactStore())
+    yield
+    set_default_store(previous)
 
 
 @pytest.fixture(scope="session")

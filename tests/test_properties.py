@@ -12,7 +12,9 @@ from repro.cells import default_library
 from repro.circuits.generator import CloudSpec, generate_circuit
 from repro.flows import prepare_circuit
 from repro.latches import SlavePlacement
+from repro.latches.placement import HOST
 from repro.latches.resilient import EPS
+from repro.netlist.netlist import GateType
 from repro.retime import (
     base_retime,
     build_retiming_graph,
@@ -26,7 +28,9 @@ from repro.retime import (
 LIBRARY = default_library()
 
 
-def make_circuit(seed, flops=8, gates=90, depth=6, fraction=0.3):
+def make_circuit(
+    seed, flops=8, gates=90, depth=6, fraction=0.3, model="path"
+):
     spec = CloudSpec(
         name=f"prop{seed}",
         seed=seed,
@@ -38,7 +42,7 @@ def make_circuit(seed, flops=8, gates=90, depth=6, fraction=0.3):
         critical_fraction=fraction,
     )
     netlist = generate_circuit(spec, LIBRARY)
-    _, circuit = prepare_circuit(netlist, LIBRARY)
+    _, circuit = prepare_circuit(netlist, LIBRARY, model=model)
     return circuit
 
 
@@ -146,3 +150,93 @@ class TestRetimingInvariants:
         assert placement.slave_count(circuit.netlist) == len(
             circuit.source_names
         )
+
+
+def reference_arrival_details(circuit, placement):
+    """The eq. (5) DP with every slave test through
+    ``edge_weight_after`` (the label shortcut's oracle)."""
+    netlist = circuit.netlist
+    launch_floor = circuit.scheme.slave_open + circuit.latch_ck_q
+    post = {}
+
+    def edge_arrival(driver, sink):
+        if placement.edge_weight_after(netlist, driver, sink) == 1:
+            return max(launch_floor, circuit.df(driver) + circuit.latch_d_q)
+        return post[driver]
+
+    for name in netlist.topo_order():
+        gate = netlist[name]
+        if gate.is_source:
+            if placement.edge_weight_after(netlist, HOST, name) == 1:
+                post[name] = launch_floor
+            else:
+                post[name] = 0.0
+            continue
+        if gate.gtype is GateType.OUTPUT:
+            continue
+        post[name] = max(
+            edge_arrival(driver, name) + circuit.edge_delay(driver, name)
+            for driver in gate.fanins
+        )
+    arrivals = {
+        endpoint: max(
+            edge_arrival(driver, endpoint)
+            for driver in netlist[endpoint].fanins
+        )
+        for endpoint in circuit.endpoint_names
+    }
+    return arrivals, post
+
+
+def any_labels(circuit, rng):
+    """Random labels on any gate, endpoints included (illegal too)."""
+    return SlavePlacement(
+        retimed={g.name for g in circuit.netlist if rng.random() < 0.4}
+    )
+
+
+def legal_labels(circuit, rng):
+    """Random labels closed under fanin: every path still crosses
+    exactly one slave, the premise of the one-pass DP."""
+    retimed = set()
+    for name in circuit.netlist.topo_order():
+        gate = circuit.netlist[name]
+        if gate.gtype is GateType.OUTPUT:
+            continue
+        if gate.is_source or all(d in retimed for d in gate.fanins):
+            if rng.random() < 0.5:
+                retimed.add(name)
+    return SlavePlacement(retimed=retimed)
+
+
+class TestArrivalDp:
+    @given(
+        SEEDS,
+        st.sampled_from(["path", "gate"]),
+        st.randoms(use_true_random=False),
+    )
+    @SLOW
+    def test_label_shortcut_matches_edge_weights(self, seed, model, rng):
+        """``arrival_details`` reads slaves off the labels; it must
+        equal the edge-weight DP exactly, on any labels."""
+        circuit = make_circuit(seed, model=model)
+        for labels in (any_labels, legal_labels):
+            placement = labels(circuit, rng)
+            assert circuit.arrival_details(
+                placement
+            ) == reference_arrival_details(circuit, placement)
+
+    @given(
+        SEEDS,
+        st.sampled_from(["path", "gate"]),
+        st.randoms(use_true_random=False),
+    )
+    @SLOW
+    def test_legal_labels_match_per_endpoint(self, seed, model, rng):
+        circuit = make_circuit(seed, model=model)
+        placement = legal_labels(circuit, rng)
+        arrivals = circuit.endpoint_arrivals(placement)
+        for endpoint in circuit.endpoint_names:
+            assert arrivals[endpoint] == pytest.approx(
+                circuit.endpoint_arrival(placement, endpoint)
+            )

@@ -8,8 +8,9 @@ Covers the sweep-aware retiming tentpole:
 * the content fingerprint (copies collide, resizing misses);
 * cache hit/miss + warm-start counters;
 * the acceptance oracle: cache-on sweeps are bit-identical to the
-  cache-off cold-start runs, for G-RAR, the baseline, and the VI-D
-  trade-off curve;
+  cache-off cold-start runs, for G-RAR, the baseline, whole G-RAR
+  flows (whose repeated sizing runs replay from the memo), and the
+  VI-D trade-off curve;
 * the ``_recost`` regression: re-costed live outcomes must re-cost
   their nested retiming result too.
 """
@@ -21,7 +22,7 @@ import pytest
 
 from repro import metrics
 from repro.circuits.generator import CloudSpec, generate_circuit
-from repro.flows import prepare_circuit
+from repro.flows import prepare_circuit, run_flow
 from repro.flows.tradeoff import error_rate_tradeoff
 from repro.harness import ExperimentSuite
 from repro.retime import (
@@ -224,6 +225,19 @@ def _result_key(result):
     )
 
 
+def _outcome_key(outcome):
+    return (
+        _result_key(outcome.retiming),
+        outcome.sizing,
+        outcome.rescue,
+        outcome.recovery,
+        outcome.edl_endpoints,
+        outcome.cost,
+        outcome.comb_area,
+        [(gate.name, gate.cell) for gate in outcome.circuit.netlist],
+    )
+
+
 class TestSweepParity:
     """Acceptance: cache-on results == the cache-off cold oracle."""
 
@@ -254,6 +268,36 @@ class TestSweepParity:
             assert collector.counters["simplex.basis_reused"] == (
                 len(SWEEP) - 1
             )
+
+    @pytest.mark.parametrize("method", ["grar", "grar-gate"])
+    def test_flow_sweep_with_sizing_replays_matches_the_oracle(
+        self, library, method
+    ):
+        """With the cache on, repeated sizing inputs across the sweep
+        replay the stored run; every outcome equals the cache-off
+        flow, which never touches the sizing namespace."""
+        for spec in SPECS[1:]:
+            netlist = generate_circuit(spec, library)
+            sweeps = {}
+            for cache in (True, False):
+                collector = metrics.MetricsCollector()
+                with metrics.collect_into(collector):
+                    outcomes = [
+                        run_flow(
+                            method, netlist, library, c, retime_cache=cache
+                        )
+                        for c in SWEEP
+                    ]
+                sweeps[cache] = (
+                    [_outcome_key(outcome) for outcome in outcomes],
+                    collector.counters,
+                )
+            assert sweeps[True][0] == sweeps[False][0]
+            assert sweeps[True][1]["store.sizing.hits"] > 0
+            assert not [
+                name for name in sweeps[False][1]
+                if name.startswith("store.sizing.")
+            ]
 
     def test_base_retime_shares_the_compiled_problem(self, circuits):
         circuit = circuits[0]

@@ -165,6 +165,33 @@ class TestRescuePaths:
             cells_after = {g.name: g.cell for g in circuit.netlist}
             assert cells_before == cells_after
 
+    def test_rejected_batch_is_not_retried(
+        self, small_netlist, library, monkeypatch
+    ):
+        """One candidate makes the same batch at every fraction: once
+        rejected and reverted, the pass goes straight to the
+        single-endpoint fallback (``max_passes=40``)."""
+        _, circuit = prepare_circuit(small_netlist.copy(), library)
+        engine = circuit.engine
+        endpoint = max(circuit.endpoint_names, key=engine.endpoint_arrival)
+        cells_before = {g.name: g.cell for g in circuit.netlist}
+        real = sizing.speed_paths
+        calls = []
+
+        def counted(circuit_, limits, max_passes=120, **kwargs):
+            calls.append(max_passes)
+            return real(circuit_, limits, max_passes, **kwargs)
+
+        monkeypatch.setattr(sizing, "speed_paths", counted)
+        report = rescue_paths(
+            circuit, [endpoint],
+            target=0.8 * engine.endpoint_arrival(endpoint),
+            budget_per_endpoint=1e-9,
+        )
+        assert report.abandoned == [endpoint]
+        assert calls == [120, 40]
+        assert {g.name: g.cell for g in circuit.netlist} == cells_before
+
     def test_generous_budget_rescues(self, small_netlist, library):
         scheme, circuit = prepare_circuit(small_netlist.copy(), library)
         engine = circuit.engine

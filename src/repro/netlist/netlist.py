@@ -43,6 +43,10 @@ class GateType(Enum):
     COMB = "comb"
 
 
+#: Gate types that launch data into the comb cloud (a stage boundary).
+_SOURCE_TYPES = (GateType.INPUT, GateType.DFF)
+
+
 @dataclass(frozen=True)
 class Gate:
     """One gate (and the net it drives, which shares its name)."""
@@ -78,7 +82,7 @@ class Gate:
     @property
     def is_source(self) -> bool:
         """True when the gate launches data into the comb cloud."""
-        return self.gtype in (GateType.INPUT, GateType.DFF)
+        return self.gtype in _SOURCE_TYPES
 
     def with_cell(self, cell: str) -> "Gate":
         """Copy of the gate with a different library cell."""
@@ -480,35 +484,46 @@ class Netlist:
 
     def fanin_cone(self, name: str) -> Set[str]:
         """All gates with a combinational path to ``name`` (inclusive)."""
-        cone: Set[str] = set()
-        stack = [name]
+        gates = self._gates
+        cone = {name}
+        stack = list(self[name].fanins)
         while stack:
             current = stack.pop()
             if current in cone:
                 continue
             cone.add(current)
-            gate = self[current]
-            if gate.is_source and current != name:
-                continue  # stop at stage boundary
-            for driver in gate.fanins:
-                stack.append(driver)
+            gate = gates[current]
+            if gate.gtype not in _SOURCE_TYPES:  # else the stage boundary
+                stack.extend(gate.fanins)
         return cone
 
     def fanout_cone(self, name: str) -> Set[str]:
         """All gates reachable from ``name`` without crossing a flop."""
-        cone: Set[str] = set()
-        stack = [name]
+        return self.fanout_cones((name,))
+
+    def fanout_cones(self, names: Iterable[str]) -> Set[str]:
+        """The union of :meth:`fanout_cone` over ``names``, in one walk.
+
+        Every name is expanded, a flop included: a flop reached only
+        as another cone's boundary (its D pin) is not.
+        """
+        self._ensure()
+        fanouts = self._fanouts
+        gates = self._gates
+        expanded: Set[str] = set()
+        boundary: Set[str] = set()
+        stack = list(names)
         while stack:
             current = stack.pop()
-            if current in cone:
+            if current in expanded:
                 continue
-            cone.add(current)
-            for user in self.fanouts(current):
-                if not self[user].is_source:
-                    stack.append(user)
+            expanded.add(current)
+            for user in fanouts[current]:
+                if gates[user].gtype in _SOURCE_TYPES:
+                    boundary.add(user)
                 else:
-                    cone.add(user)
-        return cone
+                    stack.append(user)
+        return expanded | boundary
 
     # -- metrics -------------------------------------------------------
 

@@ -143,12 +143,13 @@ class TimingEngine:
             self._topo_index = {}
         # Per-endpoint backward memos: evict only the tables whose
         # fanin cone can see a changed arc (the changed gates' fanout
-        # cones), instead of the historical wholesale clear.
+        # cones, in one walk), instead of the historical wholesale
+        # clear.
         if self._backward_to:
-            affected: Set[str] = set(removed)
-            for name in dirty:
-                if name in self.netlist:
-                    affected |= self.netlist.fanout_cone(name)
+            affected = self.netlist.fanout_cones(
+                name for name in dirty if name in self.netlist
+            )
+            affected |= removed
             for endpoint in [t for t in self._backward_to if t in affected]:
                 del self._backward_to[endpoint]
         # The any-endpoint table is one O(V+E) reverse pass; rebuild it
@@ -409,7 +410,6 @@ class TimingEngine:
 
     def forward_arrival(self, name: str) -> float:
         """``D^f``: latest arrival at the output of gate ``name``."""
-        metrics.count("sta.forward.query")
         self._flush_events()
         if self._forward is None:
             metrics.count("sta.forward.compute")
@@ -583,7 +583,6 @@ class TimingEngine:
 
     def max_backward(self, name: str) -> float:
         """``max_t D^b(name, t)`` over all endpoints (-inf if none)."""
-        metrics.count("sta.backward_any.query")
         self._flush_events()
         if self._backward_any is None:
             metrics.count("sta.backward_any.compute")
@@ -625,8 +624,13 @@ class TimingEngine:
         return result
 
     def backward_delay(self, name: str, endpoint: str) -> float:
-        """``D^b(name, endpoint)``; -inf when no path exists."""
-        metrics.count("sta.backward_to.query")
+        """``D^b(name, endpoint)``; -inf when no path exists.
+
+        Builds and keeps one table per endpoint: the eq. (5) oracle
+        (:meth:`TwoPhaseCircuit.arrival_through`) reads it, while
+        :func:`repro.retime.cutset.compute_cut_sets` computes its own
+        ``D^b`` inside its cone walk and leaves no table here.
+        """
         self._flush_events()
         table = self._backward_to.get(endpoint)
         if table is None:

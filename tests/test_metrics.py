@@ -79,7 +79,6 @@ class TestTimingEngineCounters:
             engine.forward_arrival("g1")
             engine.forward_arrival("g2")
             engine.forward_arrival("g3")
-        assert collector.counters["sta.forward.query"] == 3
         assert collector.counters["sta.forward.compute"] == 1
 
     def test_backward_compute_once_per_endpoint(self, library, tiny_netlist):
@@ -89,7 +88,6 @@ class TestTimingEngineCounters:
         with metrics.collect_into(collector):
             engine.backward_delay("g1", endpoint)
             engine.backward_delay("g2", endpoint)
-        assert collector.counters["sta.backward_to.query"] == 2
         assert collector.counters["sta.backward_to.compute"] == 1
 
     def test_invalidate_counted(self, library, tiny_netlist):

@@ -112,6 +112,15 @@ class TestNetlist:
         assert {"g1", "g2", "g3", "f1"} <= cone
         assert "g4" not in cone  # behind the flop
 
+    def test_fanout_cones_is_the_union(self, tiny_netlist):
+        # f1 is g1's boundary (its D pin) and a seed of its own (its Q
+        # drives g4): one walk must still expand it.
+        names = ["g1", "f1", "c"]
+        union = set().union(*(tiny_netlist.fanout_cone(n) for n in names))
+        assert tiny_netlist.fanout_cones(names) == union
+        assert "g4" in union
+        assert tiny_netlist.fanout_cones([]) == set()
+
     def test_remove_in_use_rejected(self, tiny_netlist):
         with pytest.raises(ValueError):
             tiny_netlist.copy().remove("g1")

@@ -2,6 +2,8 @@
 
 from conftest import save_table
 
+from repro.flows import run_flow
+
 
 def test_table7_runtime(suite, results_dir, benchmark):
     table = benchmark.pedantic(suite.table7, rounds=1, iterations=1)
@@ -23,8 +25,13 @@ def test_network_simplex_share(suite, benchmark):
     our STA is much faster than report_timing round-trips)."""
 
     def measure():
+        # The suite keeps records, not the retiming's phase timings:
+        # run the flow the table's cell ran.
         name = suite.circuit_names[0]
-        outcome = suite.outcome(name, "grar", 1.0)
+        outcome = run_flow(
+            "grar", suite.netlist(name), suite.library, 1.0,
+            scheme=suite.scheme(name),
+        )
         phases = outcome.retiming.phase_runtimes
         return phases.get("solve", 0.0), sum(phases.values())
 

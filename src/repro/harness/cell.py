@@ -15,26 +15,50 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, FrozenSet, Iterator, Optional, Sequence, Tuple
 
 from repro.cells.library import Library
 from repro.clocks import ClockScheme
 from repro.errors import ReproError, stage_scope
 from repro.flows import FlowOutcome, run_flow
+from repro.latches.placement import SlavePlacement
+from repro.latches.resilient import SequentialCost, TwoPhaseCircuit
 from repro.netlist.netlist import Netlist
 from repro.sim import estimate_error_rate_batched
 
 _NAN = float("nan")
 
 
+@dataclass(frozen=True)
+class Recipe:
+    """A flow's final circuit as the cell swaps (in netlist order) the
+    flow made to the netlist it ran on, plus the final delay model."""
+
+    swaps: Tuple[Tuple[str, str], ...]
+    model: str
+
+    def rebuild(
+        self, netlist: Netlist, scheme: ClockScheme, library: Library,
+        sta_mode: str = "incremental",
+    ) -> TwoPhaseCircuit:
+        """Copy ``netlist``, apply the swaps before any timing engine
+        subscribes, and time the final circuit afresh."""
+        final = netlist.copy()
+        for gate, cell in self.swaps:
+            final.replace_cell(gate, cell)
+        return TwoPhaseCircuit(
+            final, scheme, library, model=self.model, sta_mode=sta_mode
+        )
+
+
 @dataclass
 class FlowRecord:
-    """Numbers a completed run contributes to the tables.
+    """One settled cell: the numbers a completed run contributes to the
+    tables, plus the sets and recipe its Table VIII simulation needs.
 
-    This is what the resumable memo persists, and what a worker sends
-    back instead of the live outcome — enough to re-render every table
-    (including re-costing under a different overhead) without
-    re-running the flow.
+    The memo persists the numbers only (:meth:`numbers`), enough to
+    re-render every table (re-costing included) without re-running the
+    flow; a resumed record has no sets and no recipe.
     """
 
     method: str
@@ -47,31 +71,63 @@ class FlowRecord:
     comb_area: float
     runtime_s: float
     solver_backend: str = ""
+    #: the final error-detecting masters.
+    edl_endpoints: Optional[FrozenSet[str]] = None
+    #: the slave placement's retimed nodes (``r = -1``).
+    retimed: Optional[FrozenSet[str]] = None
+    #: rebuilds the final circuit; ``None`` also when the flow changed
+    #: the netlist's structure (``rvl-movable``'s flop retiming).
+    recipe: Optional[Recipe] = None
+
+    @property
+    def cost(self) -> SequentialCost:
+        return SequentialCost(
+            self.n_slaves, self.n_masters, self.n_edl, self.overhead,
+            self.latch_area,
+        )
 
     @property
     def sequential_area(self) -> float:
-        """Same arithmetic as :class:`SequentialCost.area`."""
-        return (
-            self.n_slaves + self.n_masters + self.overhead * self.n_edl
-        ) * self.latch_area
+        return self.cost.area
 
     @property
     def total_area(self) -> float:
         return self.comb_area + self.sequential_area
 
+    @property
+    def placement(self) -> SlavePlacement:
+        return SlavePlacement(set(self.retimed))
+
+    def numbers(self) -> Dict[str, Any]:
+        """The memo's form: every field but the sets and the recipe."""
+        return {k: v for k, v in vars(self).items()
+                if k not in ("edl_endpoints", "retimed", "recipe")}
+
     @staticmethod
-    def from_outcome(outcome: FlowOutcome) -> "FlowRecord":
+    def from_outcome(outcome: FlowOutcome, netlist: Netlist) -> "FlowRecord":
+        """``outcome``'s record, with the recipe that rebuilds its final
+        circuit from ``netlist``, the netlist the flow ran on."""
+        final = outcome.circuit.netlist
+        recipe = None
+        if [(g.name, g.gtype, g.fanins) for g in final] == [
+            (g.name, g.gtype, g.fanins) for g in netlist
+        ]:
+            recipe = Recipe(
+                tuple((g.name, g.cell) for g, old in zip(final, netlist)
+                      if g.cell != old.cell),
+                outcome.circuit.engine.calculator.name,
+            )
         return FlowRecord(
             method=outcome.method,
             circuit_name=outcome.circuit_name,
-            overhead=outcome.overhead,
-            n_slaves=outcome.cost.n_slaves,
-            n_masters=outcome.cost.n_masters,
-            n_edl=outcome.cost.n_edl,
-            latch_area=outcome.cost.latch_area,
+            # the counts, the overhead and the latch area
+            **vars(outcome.cost),
             comb_area=outcome.comb_area,
             runtime_s=outcome.runtime_s,
             solver_backend=outcome.solver_backend,
+            edl_endpoints=frozenset(outcome.edl_endpoints),
+            retimed=frozenset(outcome.retiming.placement.retimed),
+            recipe=recipe,
         )
 
 
@@ -129,9 +185,8 @@ class CellResult:
     circuit: str
     method: str
     overhead: float
-    #: the flow's outcome: live in the process that ran it, a
-    #: :class:`FlowRecord` once shipped; ``None`` when the flow failed.
-    outcome: Union[FlowOutcome, FlowRecord, None] = None
+    #: the flow's record; ``None`` when the flow failed.
+    outcome: Optional[FlowRecord] = None
     #: the failure, flow or simulation, in :meth:`ReproError.to_dict`
     #: form.
     error: Optional[Dict[str, Any]] = None
@@ -168,35 +223,27 @@ class CellResult:
             return self.raised
         return ReproError.from_dict(self.error or {})
 
-    def shipped(self) -> "CellResult":
-        """This result as a worker sends it back: the live outcome
-        becomes its :class:`FlowRecord`, and the raised error stays
-        behind (its dict travels)."""
-        if isinstance(self.outcome, FlowOutcome):
-            self.outcome = FlowRecord.from_outcome(self.outcome)
-        self.raised = None
-        return self
-
 
 def simulate(
     result: CellResult,
+    circuit: TwoPhaseCircuit,
     cycles: int,
     seeds: Sequence[int],
     backend: str,
 ) -> CellResult:
-    """Table VIII's step: the mean error rate of ``result``'s live
-    outcome over ``seeds``, or the typed failure (with a NaN rate).
+    """Table VIII's step: the mean error rate over ``seeds`` of
+    ``circuit``, the final circuit of ``result``'s record (live or
+    rebuilt), or the typed failure (with a NaN rate).
 
     One compile serves the whole seed sweep; for a single seed the
     report is byte-identical to the per-seed estimate.
     """
-    out = result.outcome
     try:
         with stage_scope("simulate", circuit=result.circuit):
             reports = estimate_error_rate_batched(
-                out.circuit,
-                out.retiming.placement,
-                out.edl_endpoints,
+                circuit,
+                result.outcome.placement,
+                result.outcome.edl_endpoints,
                 cycles=cycles,
                 seeds=seeds,
                 backend=backend,
@@ -214,8 +261,9 @@ def simulate(
 
 def run_cell(task: CellTask) -> Iterator[CellResult]:
     """Compute ``task``'s sweep point by point, in order, yielding each
-    result as it lands: the flow, then the simulation where the point
-    owes an error rate.
+    result as it lands: the flow, then the simulation of its live
+    circuit where the point owes an error rate.  Only the outcome's
+    :class:`FlowRecord` leaves this function.
 
     Points run as the caller iterates, under the ambient artifact
     store at that time.  Each point's typed failure is captured on its
@@ -226,7 +274,7 @@ def run_cell(task: CellTask) -> Iterator[CellResult]:
         started = time.perf_counter()
         result = CellResult(task.circuit, task.method, overhead)
         try:
-            result.outcome = run_flow(
+            outcome = run_flow(
                 task.method,
                 task.netlist,
                 task.library,
@@ -239,7 +287,12 @@ def run_cell(task: CellTask) -> Iterator[CellResult]:
         except ReproError as exc:
             result.fail(exc)
         else:
+            result.outcome = FlowRecord.from_outcome(outcome, task.netlist)
             if overhead in task.rate_overheads:
-                simulate(result, task.cycles, task.seeds, task.sim_backend)
+                simulate(
+                    result, outcome.circuit, task.cycles, task.seeds,
+                    task.sim_backend,
+                )
+            del outcome  # not held across the yield and the next flow
         result.wall_s = time.perf_counter() - started
         yield result

@@ -2,7 +2,7 @@
 
 :class:`ExperimentSuite` lazily generates the benchmark circuits,
 computes each (circuit, method, c) cell a table pulls through the one
-cell path (:mod:`repro.harness.cell`), memoizes the outcomes across
+cell path (:mod:`repro.harness.cell`), memoizes its record across
 tables (Tables IV-VII share the same runs), and renders each table in
 the paper's layout.
 """
@@ -12,13 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro import metrics
 from repro.analysis.compare import average, improvement
 from repro.cells import default_library
 from repro.cells.library import Library
 from repro.circuits import build_benchmark, suite_names
 from repro.clocks import ClockScheme
 from repro.errors import ReproError, stage_scope
-from repro.flows import FlowOutcome, prepare_circuit
+from repro.flows import prepare_circuit
 from repro.flows.run import check_timing_engine
 from repro.harness.cell import (
     CellResult,
@@ -51,7 +52,7 @@ _NAN = float("nan")
 class FailedOutcome:
     """Placeholder for a (circuit, method, c) run that raised.
 
-    Exposes the same table-facing metrics as :class:`FlowOutcome`, all
+    Exposes the same table-facing metrics as :class:`FlowRecord`, all
     NaN, so every table renders a ``FAILED`` cell instead of crashing
     or reporting a silently wrong number.
     """
@@ -62,36 +63,11 @@ class FailedOutcome:
     stage: Optional[str]
     error: Dict[str, object]
 
-    @property
-    def n_slaves(self) -> float:
-        return _NAN
-
-    @property
-    def n_edl(self) -> float:
-        return _NAN
-
-    @property
-    def sequential_area(self) -> float:
-        return _NAN
-
-    @property
-    def total_area(self) -> float:
-        return _NAN
-
-    @property
-    def runtime_s(self) -> float:
-        return _NAN
-
-    def summary(self) -> str:
-        """One-line failure summary."""
-        return (
-            f"{self.method}[{self.circuit_name}, c={self.overhead}]: "
-            f"FAILED in {self.stage or '?'}: {self.error.get('message')}"
-        )
+    n_slaves = n_edl = sequential_area = total_area = runtime_s = _NAN
 
 
 #: Anything `outcome()` may hand to the tables.
-AnyOutcome = Union[FlowOutcome, FlowRecord, FailedOutcome]
+AnyOutcome = Union[FlowRecord, FailedOutcome]
 
 
 class ExperimentSuite:
@@ -213,7 +189,7 @@ class ExperimentSuite:
     GRAR_METHODS = frozenset({"grar", "grar-gate", "grar-lp"})
 
     def outcome(self, name: str, method: str, overhead: float) -> AnyOutcome:
-        """The (memoized) flow outcome for (circuit, method, c).
+        """The (memoized) flow record for (circuit, method, c).
 
         A missing cell is computed in-process by the task
         :meth:`task` builds, so its whole sweep lands at once.  For
@@ -231,8 +207,8 @@ class ExperimentSuite:
         if key not in self._outcomes:
             self._pull(name, method, overhead)
             if method in self.C_INDEPENDENT and overhead != 1.0:
-                self._outcomes[key] = self._recost(
-                    self._outcomes[(name, method, 1.0)], overhead
+                self._outcomes[key] = replace(
+                    self._outcomes[(name, method, 1.0)], overhead=overhead
                 )
         return self._outcomes[key]
 
@@ -240,27 +216,32 @@ class ExperimentSuite:
         """The (memoized) simulated error rate in percent.
 
         c-independent methods share one simulation (identical
-        placements and EDL sets across overheads).  A live outcome
-        simulates on the spot; a missing cell, or one the memo resumed
-        without its live circuit, runs its flow with the rate owed.
-        Failed flows and simulations report NaN (rendered ``FAILED``).
+        placements and EDL sets across overheads).  A record with a
+        recipe rebuilds its final circuit and simulates it on the spot
+        (counted as ``suite.rebuilds``); a missing cell, or a record
+        without one (resumed from the memo, or ``rvl-movable``), runs
+        its flow with the rate owed.  Failed flows and simulations
+        report NaN (rendered ``FAILED``).
         """
         if method in self.C_INDEPENDENT:
             overhead = 1.0
         key = (name, method, overhead)
         if key not in self._error_rates:
             out = self._outcomes.get(key)
-            if isinstance(out, FlowOutcome):
-                self.settle(
-                    simulate(
-                        CellResult(name, method, overhead, outcome=out),
-                        self.error_rate_cycles,
-                        self.sim_seeds,
-                        self.sim_backend,
-                    )
-                )
-            else:
+            recipe = getattr(out, "recipe", None)
+            if recipe is None:
                 self._pull(name, method, overhead, rates=True)
+            else:
+                metrics.count("suite.rebuilds")
+                circuit = recipe.rebuild(
+                    self.netlist(name), self.scheme(name), self.library,
+                    self.sta_mode,
+                )
+                result = CellResult(name, method, overhead, outcome=out)
+                self.settle(simulate(
+                    result, circuit, self.error_rate_cycles,
+                    self.sim_seeds, self.sim_backend,
+                ))
         return self._error_rates.get(key, _NAN)
 
     # -- the one cell path -------------------------------------------------
@@ -365,11 +346,8 @@ class ExperimentSuite:
             if not self.isolate:
                 raise result.to_error()
             failed = FailedOutcome(
-                method=result.method,
-                circuit_name=result.circuit,
-                overhead=result.overhead,
-                stage=result.error.get("stage"),
-                error=result.error,
+                result.method, result.circuit, result.overhead,
+                result.error.get("stage"), result.error,
             )
             self.failures.append(failed)
         self._outcomes[result.key] = (
@@ -378,26 +356,6 @@ class ExperimentSuite:
         if result.error_rate is not None:
             self._error_rates[result.key] = result.error_rate
         self.checkpoint(force=False)
-
-    @staticmethod
-    def _recost(outcome: AnyOutcome, overhead: float) -> AnyOutcome:
-        """Clone an outcome under a different EDL overhead."""
-        if isinstance(outcome, (FailedOutcome, FlowRecord)):
-            return replace(outcome, overhead=overhead)
-        return replace(
-            outcome,
-            overhead=overhead,
-            cost=replace(outcome.cost, overhead=overhead),
-            # The nested retiming result carries its own overhead and
-            # cost copy; leaving them at the canonical c = 1.0 made
-            # `outcome.retiming.sequential_area` (and summary lines)
-            # report canonical areas under every other overhead.
-            retiming=replace(
-                outcome.retiming,
-                overhead=overhead,
-                cost=replace(outcome.retiming.cost, overhead=overhead),
-            ),
-        )
 
     # -- failure reporting and resumability --------------------------------
 
@@ -458,16 +416,11 @@ class ExperimentSuite:
             self._dirty_cells += 1
             if self._dirty_cells < self.checkpoint_every:
                 return False
-        entries: Dict[str, Dict[str, object]] = {}
-        for key, out in self._outcomes.items():
-            if isinstance(out, FailedOutcome):
-                continue
-            record = (
-                out
-                if isinstance(out, FlowRecord)
-                else FlowRecord.from_outcome(out)
-            )
-            entries[memo_cell_key(key)] = {"run": record.__dict__}
+        entries: Dict[str, Dict[str, object]] = {
+            memo_cell_key(key): {"run": out.numbers()}
+            for key, out in self._outcomes.items()
+            if isinstance(out, FlowRecord)
+        }
         for key, rate in self._error_rates.items():
             if rate == rate:  # not NaN
                 entry = entries.setdefault(memo_cell_key(key), {})
@@ -498,15 +451,9 @@ class ExperimentSuite:
             except ReproError as exc:
                 if not self.isolate:
                     raise
-                self.failures.append(
-                    FailedOutcome(
-                        method="table1",
-                        circuit_name=name,
-                        overhead=0.0,
-                        stage=exc.stage,
-                        error=exc.to_dict(),
-                    )
-                )
+                self.failures.append(FailedOutcome(
+                    "table1", name, 0.0, exc.stage, exc.to_dict()
+                ))
                 table.add_row(
                     name, _NAN, _NAN, _NAN, _NAN, _NAN,
                     paper[0], paper[1], paper[2],

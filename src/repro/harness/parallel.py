@@ -42,7 +42,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from multiprocessing.connection import wait as connection_wait
 from typing import (
     Any,
@@ -142,11 +142,11 @@ def plan_cells(
 def _ship_cell(task: CellTask) -> List[CellResult]:
     """Worker entry: :func:`run_cell` under the task's shared store
     directory (opened once for the whole sweep, so its memory tier
-    carries from point to point), minus the live objects that cannot
-    cross the pipe."""
+    carries from point to point); a raised error stays behind, and its
+    dict crosses the pipe."""
     store = open_store(task.store_dir) if task.store_dir else get_store()
     with use_store(store):
-        return [result.shipped() for result in run_cell(task)]
+        return [replace(result, raised=None) for result in run_cell(task)]
 
 
 # -- deadline-enforcing task runner ------------------------------------------

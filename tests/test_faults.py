@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro import metrics
 from repro.circuits.generator import CloudSpec, generate_circuit
 from repro.clocks import scheme_from_period
 from repro.errors import (
@@ -254,12 +255,12 @@ class TestSuiteIsolation:
         area = first.outcome("alpha", "grar", 1.0).total_area
 
         resumed = _tiny_suite(library, memo_path=memo)
-        record = resumed.outcome("alpha", "grar", 1.0)
+        collector = metrics.MetricsCollector()
+        with metrics.collect_into(collector):
+            record = resumed.outcome("alpha", "grar", 1.0)
         assert record.total_area == pytest.approx(area)
-        # Resumed from disk, not re-run: the memo hands back a record.
-        from repro.harness.experiments import FlowRecord
-
-        assert isinstance(record, FlowRecord)
+        # Resumed from disk, not re-run: no flow ran.
+        assert not collector.counters.get("flow.runs")
 
 
 def _concrete_error_classes():

@@ -155,6 +155,7 @@ class TestCIndependence:
         assert derived.n_slaves == real.n_slaves
         assert derived.n_edl == real.n_edl
         assert derived.edl_endpoints == real.edl_endpoints
+        assert derived.placement == real.retiming.placement
         assert derived.sequential_area == pytest.approx(
             real.sequential_area
         )

@@ -11,8 +11,8 @@ def suite():
 
 
 class TestCrossTableConsistency:
-    """The tables are views over the same memoized outcomes; their
-    numbers must agree with each other and with the raw outcomes."""
+    """The tables are views over the same memoized records; their
+    numbers must agree with each other and with the raw records."""
 
     def test_table5_matches_outcomes(self, suite):
         table = suite.table5()
@@ -49,12 +49,11 @@ class TestCrossTableConsistency:
         """seq area = (slaves + masters + c * EDL) * latch_area."""
         for method in ("base", "grar", "rvl"):
             for c in (0.5, 2.0):
-                outcome = suite.outcome("s1488", method, c)
-                cost = outcome.cost
+                record = suite.outcome("s1488", method, c)
                 expected = (
-                    cost.n_slaves + cost.n_masters + c * cost.n_edl
-                ) * cost.latch_area
-                assert outcome.sequential_area == pytest.approx(expected)
+                    record.n_slaves + record.n_masters + c * record.n_edl
+                ) * record.latch_area
+                assert record.sequential_area == pytest.approx(expected)
 
     def test_edl_set_size_matches_count(self, suite):
         for method in ("base", "grar", "rvl", "evl", "nvl"):
@@ -76,15 +75,16 @@ class TestCrossTableConsistency:
 
     def test_simulation_consistency_with_edl_sets(self, suite):
         """Non-EDL masters must be dynamically silent in the window
-        for every approach (the designs are correct by construction)."""
+        for every approach (the designs are correct by construction):
+        each record's final circuit, rebuilt from its recipe."""
         from repro.sim import estimate_error_rate
 
         for method in ("base", "grar", "rvl"):
-            outcome = suite.outcome("s1488", method, 1.0)
+            record = suite.outcome("s1488", method, 1.0)
+            circuit = record.recipe.rebuild(
+                suite.netlist("s1488"), suite.scheme("s1488"), suite.library
+            )
             report = estimate_error_rate(
-                outcome.circuit,
-                outcome.retiming.placement,
-                outcome.edl_endpoints,
-                cycles=48,
+                circuit, record.placement, record.edl_endpoints, cycles=48
             )
             assert report.non_edl_violations == 0

@@ -19,7 +19,6 @@ from repro import metrics
 from repro.circuits.generator import CloudSpec, generate_circuit
 from repro.errors import ReproError, SimulationError
 from repro.faults import corrupt_net
-from repro.flows import FlowOutcome
 from repro.harness import ExperimentSuite, plan_cells, run_suite_parallel
 from repro.harness.experiments import LEVELS, FailedOutcome, FlowRecord
 from repro.harness.parallel import methods_for_tables
@@ -114,7 +113,7 @@ class TestMemoKeyEncoding:
         with open(memo, "w", encoding="utf-8") as stream:
             json.dump(
                 {
-                    "runs": {key: record.__dict__},
+                    "runs": {key: record.numbers()},
                     "error_rates": {key: 12.5},
                 },
                 stream,
@@ -122,8 +121,10 @@ class TestMemoKeyEncoding:
         suite = _tiny_suite(library, memo_path=memo)
         assert ("alpha", "base", 1.0) not in suite._outcomes
         assert ("alpha", "base", 1.0) not in suite._error_rates
-        out = suite.outcome("alpha", "base", 1.0)
-        assert isinstance(out, FlowOutcome)
+        collector = metrics.MetricsCollector()
+        with metrics.collect_into(collector):
+            suite.outcome("alpha", "base", 1.0)
+        assert collector.counters.get("flow.runs") == 1
         assert suite.checkpoint(force=True)
         rewritten = json.loads(open(memo, encoding="utf-8").read())
         assert rewritten["schema"] == MEMO_SCHEMA
@@ -183,17 +184,23 @@ class TestMemoResume:
         assert first.failures
 
         resumed = _tiny_suite(library, memo_path=memo, isolate=True)
-        record = resumed.outcome("alpha", "base", 2.0)
-        assert isinstance(record, FlowRecord)
-        assert record.overhead == 2.0
-        assert record.total_area == pytest.approx(base_area)
-        assert resumed.error_rate("alpha", "base", 1.0) == pytest.approx(
-            rate
-        )
+        collector = metrics.MetricsCollector()
+        with metrics.collect_into(collector):
+            record = resumed.outcome("alpha", "base", 2.0)
+            assert record.overhead == 2.0
+            assert record.total_area == pytest.approx(base_area)
+            assert resumed.error_rate(
+                "alpha", "base", 1.0
+            ) == pytest.approx(rate)
+        # Resumed from disk, not re-run: no flow and no simulation.
+        assert not collector.counters.get("flow.runs")
+        assert not collector.counters.get("sim.batched.runs")
         # The failed cell re-runs on resume: this suite's bravo netlist
-        # is healthy, so the re-run comes back as a live outcome.
-        again = resumed.outcome("bravo", "grar", 1.0)
-        assert isinstance(again, FlowOutcome)
+        # is healthy, so its G-RAR sweep runs and settles as records.
+        with metrics.collect_into(collector):
+            again = resumed.outcome("bravo", "grar", 1.0)
+        assert collector.counters.get("flow.runs") == len(LEVELS)
+        assert isinstance(again, FlowRecord)
 
     def test_resume_under_other_cycles_and_seed_resimulates(
         self, library, tmp_path
@@ -260,13 +267,21 @@ class TestPlanCells:
 
     def test_resumed_record_still_owes_its_error_rate(self, library):
         suite = _tiny_suite(library)
-        outcome = suite.outcome("alpha", "base", 1.0)
-        suite._outcomes[("alpha", "base", 1.0)] = FlowRecord.from_outcome(
-            outcome
+        record = suite.outcome("alpha", "base", 1.0)
+        # As the memo resumes it: the numbers, with no recipe.
+        suite._outcomes[("alpha", "base", 1.0)] = FlowRecord(
+            **record.numbers()
         )
         tasks = plan_cells(suite, methods=("base",), error_rates=True)
         owed = [t for t in tasks if t.key == ("alpha", "base", 1.0)]
         assert len(owed) == 1 and owed[0].error_rate
+        # Without a recipe to rebuild from, the rate re-runs the flow.
+        collector = metrics.MetricsCollector()
+        with metrics.collect_into(collector):
+            suite.error_rate("alpha", "base", 1.0)
+        assert collector.counters.get("flow.runs") == 1
+        assert collector.counters.get("sim.batched.runs") == 1
+        assert not collector.counters.get("suite.rebuilds")
 
     def test_methods_for_tables_selection(self):
         methods, rates = methods_for_tables(None)

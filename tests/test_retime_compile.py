@@ -11,8 +11,8 @@ Covers the sweep-aware retiming tentpole:
   cache-off cold-start runs, for G-RAR, the baseline, whole G-RAR
   flows (whose repeated sizing runs replay from the memo), and the
   VI-D trade-off curve;
-* the ``_recost`` regression: re-costed live outcomes must re-cost
-  their nested retiming result too.
+* the re-cost regression: a re-costed cell prices its EDL masters at
+  its own overhead and leaves the canonical record untouched.
 """
 
 from dataclasses import replace
@@ -425,13 +425,8 @@ class TestTradeoffParity:
 
 
 class TestRecostRegression:
-    """Satellite: `_recost` must re-cost the nested retiming result.
-
-    Pre-fix, a re-costed live ``FlowOutcome`` kept ``outcome.retiming``
-    at the canonical ``c = 1.0``, so its ``sequential_area`` (and every
-    summary line built from it) reported canonical areas under other
-    overheads.
-    """
+    """Satellite: a re-costed cell prices its EDL masters at its own
+    overhead and leaves the canonical ``c = 1.0`` record untouched."""
 
     @pytest.fixture()
     def suite(self, library):
@@ -449,23 +444,10 @@ class TestRecostRegression:
         suite._netlists["recost"] = generate_circuit(spec, library)
         return suite
 
-    def test_live_outcome_recosts_nested_retiming(self, suite):
-        recosted = suite.outcome("recost", "base", 2.0)
-        assert recosted.overhead == 2.0
-        assert recosted.cost.overhead == 2.0
-        # The nested retiming result must carry the same overhead...
-        assert recosted.retiming.overhead == 2.0
-        assert recosted.retiming.cost.overhead == 2.0
-        canonical = suite.outcome("recost", "base", 1.0)
-        if canonical.retiming.n_edl:
-            # ...and EDL masters must be priced at c=2, not c=1.
-            assert (
-                recosted.retiming.sequential_area
-                > canonical.retiming.sequential_area
-            )
-
     def test_recost_leaves_the_canonical_outcome_untouched(self, suite):
-        suite.outcome("recost", "base", 0.5)
+        recosted = suite.outcome("recost", "base", 0.5)
         canonical = suite.outcome("recost", "base", 1.0)
+        assert recosted.overhead == 0.5
         assert canonical.overhead == 1.0
-        assert canonical.retiming.overhead == 1.0
+        if canonical.n_edl:
+            assert recosted.sequential_area < canonical.sequential_area

@@ -30,7 +30,6 @@ from repro.cells import default_library
 from repro.circuits.fig4 import fig4_netlist
 from repro.flows import run_flow
 from repro.harness import ExperimentSuite
-from repro.harness.experiments import FlowRecord
 from repro.scenarios.engine import run_scenarios
 from repro.store import (
     ENGINE_VERSION,
@@ -477,8 +476,11 @@ class TestSuiteMemoNamespace:
         second = ExperimentSuite(
             circuits=["s1196"], error_rate_cycles=16, store=store_dir
         )
-        resumed = second._outcomes[("s1196", "base", 1.0)]
-        assert isinstance(resumed, FlowRecord)
+        collector = metrics.MetricsCollector()
+        with metrics.collect_into(collector):
+            resumed = second.outcome("s1196", "base", 1.0)
+        # Resumed from the store's memo, not re-run: no flow ran.
+        assert not collector.counters.get("flow.runs")
         assert resumed.total_area == pytest.approx(
             first.outcome("s1196", "base", 1.0).total_area
         )

@@ -17,14 +17,15 @@ physical phenomena the paper's resilient latches exist to survive:
 
 All three are expressed as an :class:`InjectionPlan` — a fully
 resolved, deterministic schedule computed *before* simulation from an
-explicit :class:`random.Random` — so both simulation backends
-(the event :class:`~repro.sim.logicsim.TimedSimulator` and the
-compiled lane engine, :mod:`repro.sim.vector`) honour the exact same
-perturbations and their bit-parity oracle keeps holding under
-injection.  The waveform transforms below are pure functions over the
-``(initial, times, values)`` event-list form; the lane engine's
+explicit :class:`random.Random` — so the event
+:class:`~repro.sim.logicsim.TimedSimulator` and the compiled lane
+engine (:mod:`repro.sim.vector`) honour the exact same perturbations
+and their bit-parity keeps holding under injection.  Delay scales
+fold into the lane engine's compile and SEU flips into its state
+rows; the waveform transforms below are pure functions over the
+``(initial, times, values)`` event-list form, and the lane engine's
 ``_glitch_lanes`` is their array twin, with no float arithmetic of
-its own.
+its own (the engine's gate and latch stages run in C).
 """
 
 from __future__ import annotations

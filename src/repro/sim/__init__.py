@@ -8,7 +8,9 @@ transport-delay model (per-pin delays from the same calculators STA
 uses) and is the reference oracle; the default ``"compiled"``
 backend compiles the cycle-invariant work once
 (:class:`CompiledSimulator`) and runs every Monte-Carlo seed as a lane
-of one array pass (:mod:`repro.sim.vector`).
+of one array pass (:mod:`repro.sim.vector`) on the C gate and latch
+stages of :mod:`repro.sim._native`, or the oracle's loop when that
+helper cannot be built.
 :func:`estimate_error_rate_batched` drives either backend over a
 slave-latch placement and counts window violations;
 :func:`estimate_error_rate` is its single-seed form.

@@ -18,12 +18,12 @@ eps`` / ``when + eps`` / ``when + delay``, compiled with
 ``-ffp-contract=off`` so no fused ops can change a result), so it is
 bit-exact against the event oracle.
 
-The helper is optional: it compiles lazily with the system C compiler
-into a content-hashed shared object in a private per-user cache
-directory (atomic rename, safe for concurrent workers).  When it
-cannot be used — ``REPRO_VECTOR_NATIVE=0``, no compiler, a failed
-compile or a failed load — the lane engine runs its pure-NumPy stage,
-which implements identical semantics, and :func:`load` says why.
+The helper compiles lazily with the system C compiler into a
+content-hashed shared object in a private per-user cache directory
+(atomic rename, safe for concurrent workers).  When it cannot be used
+— no compiler, a failed compile or a failed load — :func:`load` says
+why, and the ``"compiled"`` backend runs the event oracle instead
+(:func:`~repro.sim.batch.estimate_error_rate_batched`).
 """
 
 from __future__ import annotations
@@ -314,8 +314,6 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
 
 def _load() -> Tuple[Optional[ctypes.CDLL], Optional[str]]:
     """Uncached :func:`load`."""
-    if os.environ.get("REPRO_VECTOR_NATIVE", "1") == "0":
-        return None, "disabled"
     digest = hashlib.sha256(_SOURCE.encode("utf-8")).hexdigest()
     cache = None
     if hasattr(os, "getuid"):
@@ -356,10 +354,9 @@ _loaded: Optional[Tuple[Optional[ctypes.CDLL], Optional[str]]] = None
 
 
 def load() -> Tuple[Optional[ctypes.CDLL], Optional[str]]:
-    """``(helper, None)``, or ``(None, reason)`` when the NumPy stage
-    must run instead: ``"disabled"``, ``"no-compiler"``,
-    ``"compile-failed"`` or ``"load-failed"``.  The outcome is cached
-    for the process."""
+    """``(helper, None)``, or ``(None, reason)`` when the helper cannot
+    be used: ``"no-compiler"``, ``"compile-failed"`` or
+    ``"load-failed"``.  The outcome is cached for the process."""
     global _loaded
     if _loaded is None:
         _loaded = _load()

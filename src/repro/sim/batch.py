@@ -8,10 +8,14 @@ through it, times the run and counts its metrics:
 
 * ``"compiled"`` — the :class:`~repro.sim.kernel.CompiledSimulator`
   compile, run by the lane engine (:func:`repro.sim.vector.simulate`)
-  with the C gate stage when :func:`repro.sim._native.load` provides
-  it, else the NumPy stage;
+  on the C gate and latch stages of :func:`repro.sim._native.load`;
+  when the helper does not load, the event oracle's loop runs instead;
 * ``"event"`` — the reference event simulator, one lane of per-seed
   state at a time (:class:`~repro.sim.errorrate._CycleLoop`).
+
+Each call counts the code that ran: ``sim.stage.native`` or
+``sim.stage.event``, plus ``sim.stage.fallback.<reason>`` when
+``"compiled"`` fell back.
 
 Each seed's report is independent of the others in the sweep, so a
 report is comparison-identical to a single-seed
@@ -69,11 +73,17 @@ def estimate_error_rate_batched(
     plan = injection or InjectionPlan()
     _check_plan_targets(circuit.netlist, plan, placement)
     started = time.perf_counter()
-    if backend == "event":
+    native = fallback = None
+    if backend == "compiled":
+        native, fallback = _native.load()
+    if native is None:
         loop = _CycleLoop(
             circuit, placement, edl_endpoints, plan, max_events_per_net
         )
         reports = loop.run(cycles, seeds, toggle_probability)
+        metrics.count("sim.stage.event")
+        if fallback is not None:
+            metrics.count(f"sim.stage.fallback.{fallback}")
     else:
         kernel = CompiledSimulator(
             circuit,
@@ -81,7 +91,6 @@ def estimate_error_rate_batched(
             max_events_per_net=max_events_per_net,
             delay_scale=plan.delay_scale,
         )
-        native, fallback = _native.load()
         reports = vector.simulate(
             kernel,
             edl_endpoints,
@@ -91,11 +100,7 @@ def estimate_error_rate_batched(
             plan,
             native,
         )
-        if native is not None:
-            metrics.count("sim.stage.native")
-        else:
-            metrics.count("sim.stage.numpy")
-            metrics.count(f"sim.stage.fallback.{fallback}")
+        metrics.count("sim.stage.native")
     wall_s = time.perf_counter() - started
 
     total_cycles = cycles * len(reports)

@@ -9,25 +9,25 @@ one lane.
 The engine consumes a :class:`~repro.sim.kernel.CompiledSimulator`
 (slot assignment, topo schedule, per-pin arc delays, truth tables,
 latch-state keys) and only regroups its schedule by (topological
-level, fanin arity) so that all k-input gates of a level evaluate as
-one set of array ops.  Each level's gates and latches run in the C
-helper (:mod:`repro.sim._native`) when it loads, else in the NumPy
-stage below; the two implement identical semantics.
+level, fanin arity) so that all k-input gates of a level evaluate in
+one call.  Each level's gates and latches run in the C helper
+(:mod:`repro.sim._native`), which mirrors
+:class:`~repro.sim.logicsim.TimedSimulator`'s gate evaluation and
+latch transform; the caller
+(:func:`~repro.sim.batch.estimate_error_rate_batched`) runs the event
+oracle instead when the helper does not load.
 
-**Parity with the event oracle is the contract**: the vectorized
-primitives are algebraic twins of
-:class:`~repro.sim.logicsim.TimedSimulator`'s event loops —
+**Parity with the event oracle is the contract.**  The C stages
+perform the oracle's double operations in the same order.  The NumPy
+code left here is injection and bookkeeping — the glitch splice, the
+inclusive ``value_at``, the settled value, the endpoint scan — and its
+primitives are algebraic twins of the oracle's loops:
 
-* preemption (``while events and events[-1][0] >= out_time: pop``)
-  becomes a suffix-strict-minimum survivorship: an event survives iff
-  its time is strictly below every later candidate's time;
 * value-change pruning becomes an adjacent-difference against the
   previous surviving value (for 0/1 signals the running value after
   element *i* always equals ``values[i]``, kept or not);
 * the inclusive ``value_at`` becomes a broadcast
-  ``count(times <= t)`` gather, the causing-pin test a broadcast
-  ``t in (when - 1e-15, when + 1e-15)`` window, and candidate sets a
-  per-lane sort with exact-equality dedup —
+  ``count(times <= t)`` gather —
 
 so every float is produced by the same IEEE-754 operations on the
 same operands and the per-seed :class:`ErrorRateReport` (including
@@ -42,7 +42,7 @@ time, in topological order) names first.
 from __future__ import annotations
 
 import ctypes
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -91,23 +91,6 @@ def _compact(
     return out_t, out_v, counts
 
 
-def _preempt_keep(out_times: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """Survivors of the preemption pop-loop, in column order.
-
-    Appending an event pops every trailing event with time >= the new
-    time, so (processing columns left to right) an event survives iff
-    its time is *strictly* below the minimum over all later valid
-    events.  Invalid columns are +inf: they neither survive nor
-    preempt.
-    """
-    t = np.where(valid, out_times, _INF)
-    suffix = np.minimum.accumulate(t[..., ::-1], axis=-1)[..., ::-1]
-    exclusive = np.concatenate(
-        [suffix[..., 1:], np.full(t.shape[:-1] + (1,), _INF)], axis=-1
-    )
-    return valid & (t < exclusive)
-
-
 def _prune_keep(
     values: np.ndarray, keep: np.ndarray, initial: np.ndarray
 ) -> np.ndarray:
@@ -135,21 +118,6 @@ def _prune_keep(
     prev_val = np.take_along_axis(values, np.maximum(prev_idx, 0), axis=-1)
     prev_val = np.where(prev_idx >= 0, prev_val, initial[..., None])
     return keep & (values != prev_val)
-
-
-def _normalize(
-    out_times: np.ndarray,
-    out_values: np.ndarray,
-    valid: np.ndarray,
-    out_initial: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Preempt, prune and compact one block of candidate events."""
-    if out_times.shape[-1] == 0:
-        counts = np.zeros(out_times.shape[:-1], dtype=np.int64)
-        return out_times, out_values, counts
-    keep = _preempt_keep(out_times, valid)
-    keep = _prune_keep(out_values, keep, out_initial)
-    return _compact(out_times, out_values, keep)
 
 
 def _value_at(
@@ -235,7 +203,7 @@ class _VectorLanes:
     of shape ``(n_slots, L)``.  Latch/source held state is one
     ``(n_state, L)`` array addressed through the compile's pre-rendered
     state keys; flop capture state is ``(n_flops, L)``.  ``native`` is
-    the loaded C helper, or ``None`` to run the NumPy stage.
+    the loaded C helper, which runs every gate and latch stage.
     """
 
     def __init__(
@@ -246,7 +214,7 @@ class _VectorLanes:
         toggle_probability: float,
         cycles: int,
         plan: InjectionPlan,
-        native: Optional[ctypes.CDLL],
+        native: ctypes.CDLL,
     ) -> None:
         self.kernel = kernel
         self.plan = plan
@@ -320,8 +288,18 @@ class _VectorLanes:
         self._pi_cols = np.asarray(pi_cols, dtype=np.intp)
         self._flop_rows = np.asarray(flop_rows, dtype=np.intp)
         self._flop_src = np.asarray(flop_src, dtype=np.intp)
-        self._host_rows = np.asarray(host_rows, dtype=np.intp)
         self._host_state = np.asarray(host_state, dtype=np.intp)
+        # A host-latched source launches into a scratch row past the
+        # dummy slot; the latch stage then reads the scratch row and
+        # writes the source's own slot, so the helper's source and
+        # destination rows stay distinct.
+        self._host_slots = np.ascontiguousarray(
+            self._src_slots[host_rows], dtype=np.int64
+        )
+        scratch = np.arange(len(host_rows), dtype=np.int64)
+        self._host_scratch = kernel._n_slots + 1 + scratch
+        self._launch_slots = self._src_slots.copy()
+        self._launch_slots[host_rows] = self._host_scratch
 
         # -- pre-drawn lane-major input vectors --------------------------
         # Per-lane ``random.Random`` streams are part of the parity
@@ -363,7 +341,7 @@ class _VectorLanes:
         latch_groups: Dict[int, List[Tuple[int, int, int]]] = {}
         gate_groups: Dict[int, List[tuple]] = {}
         max_level = 0
-        for pos, entry in enumerate(kernel._schedule):
+        for entry in kernel._schedule:
             name, out_slot, in_slots, latch_ops, _delays, _table = entry
             for src_slot, dst_slot, key in latch_ops:
                 dst_src[dst_slot] = src_slot
@@ -379,7 +357,7 @@ class _VectorLanes:
                 latch_groups.setdefault(level, []).append(
                     (src_slot, dst_slot, self._state_index[key])
                 )
-            gate_groups.setdefault(level, []).append((pos, entry))
+            gate_groups.setdefault(level, []).append(entry)
 
         def pack_latch(ops: List[Tuple[int, int, int]]) -> tuple:
             arr = np.asarray(ops, dtype=np.intp)
@@ -391,11 +369,10 @@ class _VectorLanes:
 
         def pack_gates(entries: List[tuple]) -> tuple:
             n = len(entries)
-            kmax = max(len(e[1][2]) for e in entries)
-            names = [e[1][0] for e in entries]
-            pos = np.asarray([e[0] for e in entries], dtype=np.int64)
+            kmax = max(len(e[2]) for e in entries)
+            names = [e[0] for e in entries]
             out = np.ascontiguousarray(
-                [e[1][1] for e in entries], dtype=np.int64
+                [e[1] for e in entries], dtype=np.int64
             )
             ins = np.full((n, kmax), self._dummy_slot, dtype=np.int64)
             # True 1-input gates skip the eps-window test: the lone
@@ -405,7 +382,7 @@ class _VectorLanes:
             single = np.zeros(n, dtype=np.int64)
             delays = np.zeros((n, kmax, 2), dtype=np.float64)
             tables = np.empty((n, 1 << kmax), dtype=np.int64)
-            for row, (_pos, entry) in enumerate(entries):
+            for row, entry in enumerate(entries):
                 in_slots = entry[2]
                 k = len(in_slots)
                 ins[row, :k] = in_slots
@@ -415,9 +392,7 @@ class _VectorLanes:
                     np.asarray(entry[5], dtype=np.int64),
                     1 << (kmax - k),
                 )
-            return (
-                "gate", kmax, names, pos, out, ins, delays, tables, single
-            )
+            return ("gate", kmax, names, out, ins, delays, tables, single)
 
         self._stages: List[tuple] = []
         for level in range(1, max_level + 1):
@@ -462,9 +437,10 @@ class _VectorLanes:
         )
 
         # -- global waveform arrays --------------------------------------
-        # One extra slot (the last) is the dummy pad input: count 0,
-        # initial 0, all-inf times — written once here, never again.
-        n_slots = kernel._n_slots + 1
+        # One extra slot is the dummy pad input: count 0, initial 0,
+        # all-inf times — written once here, never again.  The host
+        # launch scratch rows follow it.
+        n_slots = kernel._n_slots + 1 + len(host_rows)
         self._width = 4
         self._times = np.full((n_slots, L, self._width), _INF)
         self._values = np.zeros((n_slots, L, self._width), dtype=np.int64)
@@ -524,28 +500,6 @@ class _VectorLanes:
             self._inits[slots],
         )
 
-    # -- latch transform ---------------------------------------------------
-
-    def _latch_batch(
-        self,
-        times: np.ndarray,
-        values: np.ndarray,
-        counts: np.ndarray,
-        initial: np.ndarray,
-        held: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vector twin of ``TimedSimulator._latch_transform``."""
-        opening = _value_at(times, values, initial, self._t_open)
-        lanes = held.shape
-        lead_t = np.full(lanes + (1,), self._open_edge)
-        lead_v = opening[..., None]
-        lead_valid = (opening != held)[..., None]
-        window = (times > self._t_open) & (times <= self._t_close)
-        cand_t = np.concatenate([lead_t, times + self._d_q], axis=-1)
-        cand_v = np.concatenate([lead_v, values], axis=-1)
-        valid = np.concatenate([lead_valid, window], axis=-1)
-        return _normalize(cand_t, cand_v, valid, held)
-
     # -- stages ------------------------------------------------------------
 
     def _run_sources(self, cycle: int) -> None:
@@ -560,107 +514,45 @@ class _VectorLanes:
         times = np.where(has, 0.0, _INF)[..., None]
         values = launch[..., None]
         counts = has.astype(np.int64)
-        self._write(self._src_slots, times, values, counts, prev)
-        if self._host_rows.size:
-            rows = self._host_rows
+        self._write(self._launch_slots, times, values, counts, prev)
+        if self._host_slots.size:
             held = state[self._host_state]
-            t_o, v_o, c_o = self._latch_batch(
-                times[rows], values[rows], counts[rows], prev[rows], held
-            )
-            state[self._host_state] = _final_value(v_o, c_o, held)
-            self._write(self._src_slots[rows], t_o, v_o, c_o, held)
+            self._eval_latches(self._host_scratch, self._host_slots, held)
+            _, v_o, c_o, i_o = self._read(self._host_slots)
+            state[self._host_state] = _final_value(v_o, c_o, i_o)
         state[self._src_state] = launch
 
     def _run_latch(self, stage: tuple) -> None:
         _, src_slots, dst_slots, state_idx = stage
-        held = self._state[state_idx]  # fancy index: contiguous copy
-        if self._native is not None:
-            # Worst case per output: every input event plus the lead.
-            need = int(self._counts[src_slots].max(initial=0)) + 1
-            self._ensure_width(need)
-            self._native.eval_latches(
-                len(src_slots),
-                self.n_lanes,
-                self._width,
-                src_slots.ctypes.data,
-                dst_slots.ctypes.data,
-                held.ctypes.data,
-                self._t_open,
-                self._t_close,
-                self._d_q,
-                self._open_edge,
-                self._times.ctypes.data,
-                self._values.ctypes.data,
-                self._counts.ctypes.data,
-                self._inits.ctypes.data,
-            )
-            return
-        times, values, counts, inits = self._read(src_slots)
-        t_o, v_o, c_o = self._latch_batch(times, values, counts, inits, held)
-        self._write(dst_slots, t_o, v_o, c_o, held)
+        # Fancy indexing copies: a contiguous held-state block.
+        self._eval_latches(src_slots, dst_slots, self._state[state_idx])
 
-    def _raise_cap(
-        self, names: List[str], pos: np.ndarray, counts: np.ndarray
+    def _eval_latches(
+        self, src_slots: np.ndarray, dst_slots: np.ndarray, held: np.ndarray
     ) -> None:
-        over = (counts > self._cap).any(axis=-1)
-        rows = np.nonzero(over)[0]
-        row = rows[np.argmin(pos[rows])]
-        lane = int(np.nonzero(counts[row] > self._cap)[0][0])
-        check_event_cap(names[row], int(counts[row, lane]), self._cap)
+        """``TimedSimulator._latch_transform`` of each source row into
+        its (distinct) destination row, every lane, via the helper."""
+        # Worst case per output: every input event plus the lead.
+        need = int(self._counts[src_slots].max(initial=0)) + 1
+        self._ensure_width(need)
+        self._native.eval_latches(
+            len(src_slots),
+            self.n_lanes,
+            self._width,
+            src_slots.ctypes.data,
+            dst_slots.ctypes.data,
+            held.ctypes.data,
+            self._t_open,
+            self._t_close,
+            self._d_q,
+            self._open_edge,
+            self._times.ctypes.data,
+            self._values.ctypes.data,
+            self._counts.ctypes.data,
+            self._inits.ctypes.data,
+        )
 
     def _run_gatek(self, stage: tuple) -> None:
-        """One level of gates, split into live-width buckets.
-
-        The dense candidate rectangle costs O(n * L * k^2 * w^2) for a
-        level-wide event width ``w`` — one busy net would make every
-        quiet gate pay its width.  Each cycle the level's gates are
-        partitioned by their current live width (max input events over
-        lanes) into power-of-two buckets, so the typical 0/1-event
-        gate runs in a width-1 rectangle regardless of the hot tail.
-        """
-        _, k, names, pos, out, ins, delays, tables, single = stage
-        if self._native is not None:
-            self._run_gatek_native(stage)
-            return
-        live = self._counts[ins].max(axis=(1, 2))  # (n,)
-        top = int(live.max(initial=0))
-        lo = 0
-        while True:
-            hi = 1 if lo == 0 else lo * 2
-            rows = np.nonzero((live > lo) & (live <= hi))[0]
-            if rows.size:
-                self._run_gate_bucket(
-                    k,
-                    [names[r] for r in rows],
-                    pos[rows],
-                    out[rows],
-                    ins[rows],
-                    delays[rows],
-                    tables[rows],
-                    single[rows],
-                )
-            if hi >= top:
-                break
-            lo = hi
-        rows = np.nonzero(live == 0)[0]
-        if rows.size:
-            # No input events anywhere: the output is the constant
-            # table value of the initial input values.
-            inits = self._inits[ins[rows]].transpose(0, 2, 1)  # (m, L, k)
-            weights = np.int64(1) << np.arange(k, dtype=np.int64)
-            out_init = tables[rows][
-                np.arange(rows.size)[:, None], (inits * weights).sum(-1)
-            ]
-            shape = out_init.shape + (0,)
-            self._write(
-                out[rows],
-                np.empty(shape),
-                np.empty(shape, dtype=np.int64),
-                np.zeros(out_init.shape, dtype=np.int64),
-                out_init,
-            )
-
-    def _run_gatek_native(self, stage: tuple) -> None:
         """Whole-level gate evaluation via the compiled helper.
 
         The helper walks gates in schedule order, lanes inner, and
@@ -668,7 +560,7 @@ class _VectorLanes:
         is grown up front to the worst-case candidate count (the sum
         of the input event counts) so every output wave fits.
         """
-        _, k, names, pos, out, ins, delays, tables, single = stage
+        _, k, names, out, ins, delays, tables, single = stage
         need = int(self._counts[ins].sum(axis=1).max(initial=0))
         self._ensure_width(need)
         err_gate = ctypes.c_int64(0)
@@ -696,79 +588,6 @@ class _VectorLanes:
             check_event_cap(
                 names[err_gate.value], err_count.value, self._cap
             )
-
-    def _run_gate_bucket(
-        self,
-        k: int,
-        names: List[str],
-        pos: np.ndarray,
-        out: np.ndarray,
-        ins: np.ndarray,
-        delays: np.ndarray,
-        tables: np.ndarray,
-        single: np.ndarray,
-    ) -> None:
-        n = len(names)
-        times, values, counts, inits = self._read(ins)  # (n, k, L, w)
-        times = times.transpose(0, 2, 1, 3).copy()  # (n, L, k, w)
-        values = values.transpose(0, 2, 1, 3)
-        inits = inits.transpose(0, 2, 1)  # (n, L, k)
-        weights = np.int64(1) << np.arange(k, dtype=np.int64)
-        gid = np.arange(n)
-        init_mask = (inits * weights).sum(axis=-1)
-        out_init = tables[gid[:, None], init_mask]
-        w = times.shape[-1]
-        L = times.shape[1]
-        # Candidate set: per-lane sorted union with exact-equality
-        # dedup — the event oracle's sorted(set(...)).
-        cand = np.sort(times.reshape(n, L, k * w), axis=-1)
-        finite = cand < _INF
-        dedup = np.ones_like(finite)
-        dedup[..., 1:] = cand[..., 1:] != cand[..., :-1]
-        cand, _, n_cand = _compact(cand, cand, finite & dedup)
-        if (n_cand > self._cap).any():
-            self._raise_cap(names, pos, n_cand)
-        C = cand.shape[-1]
-        if C == 0:
-            shape = out_init.shape + (0,)
-            self._write(
-                out,
-                np.empty(shape),
-                np.empty(shape, dtype=np.int64),
-                np.zeros(out_init.shape, dtype=np.int64),
-                out_init,
-            )
-            return
-        col_valid = np.arange(C) < n_cand[..., None]
-        # Per-pin inclusive value at each candidate (count of
-        # transitions <= when, then gather) — the candidate axis
-        # broadcasts against the event axis; widths are small (trimmed
-        # to the level's live maximum) so the O(C*w) compare beats
-        # sort-based merging.  All result shapes are (n, L, k, C).
-        t5 = times[:, :, :, None, :]  # (n, L, k, 1, w)
-        c5 = cand[:, :, None, :, None]  # (n, L, 1, C, 1)
-        idx = (t5 <= c5).sum(axis=-1)
-        pin_v = np.take_along_axis(
-            values, np.clip(idx - 1, 0, w - 1), axis=-1
-        )
-        pin_v = np.where(idx > 0, pin_v, inits[..., None])
-        mask = (pin_v * weights[:, None]).sum(axis=2)  # (n, L, C)
-        out_v = tables[gid[:, None, None], mask]
-        # Causing pins: any transition inside (when-eps, when+eps).
-        cause = ((t5 > c5 - _EPS) & (t5 < c5 + _EPS)).any(axis=-1)
-        arc = delays[
-            gid[:, None, None, None],
-            np.arange(k)[None, None, :, None],
-            out_v[:, :, None, :],
-        ]  # (n, L, k, C)
-        delay = np.where(cause, arc, 0.0).max(axis=2)
-        srows = np.nonzero(single)[0]
-        if srows.size:
-            # A true 1-input gate: the lone pin always causes.
-            delay[srows] = arc[srows, :, 0, :]
-        out_t = cand + delay
-        t_o, v_o, c_o = _normalize(out_t, out_v, col_valid, out_init)
-        self._write(out, t_o, v_o, c_o, out_init)
 
     def _apply_glitches(
         self, specs_by_slot: Dict[int, List[GlitchSpec]]
@@ -894,7 +713,7 @@ def simulate(
     seeds: Sequence[int],
     toggle_probability: float,
     plan: InjectionPlan,
-    native: Optional[ctypes.CDLL],
+    native: ctypes.CDLL,
 ) -> List[ErrorRateReport]:
     """One report per seed, in ``DEFAULT_LANE_BLOCK``-lane passes.
 

@@ -84,7 +84,7 @@ class TestFlowsPreserveBehaviour:
         assume(_clean(reports))
         _assert_one_behaviour(reports)
 
-    @pytest.mark.parametrize("name", ["s1196", "s1488"])
+    @pytest.mark.parametrize("name", ["s1196", "s1238", "s1423", "s1488"])
     def test_benchmark_circuits(self, name):
         netlist = build_benchmark(name, LIBRARY)
         reports = _final_states(netlist, sim_seed=7, cycles=64)

@@ -22,7 +22,7 @@ from repro.faults import corrupt_net
 from repro.harness import ExperimentSuite, plan_cells, run_suite_parallel
 from repro.harness.experiments import LEVELS, FailedOutcome, FlowRecord
 from repro.harness.parallel import methods_for_tables
-from repro.sim import vector
+from repro.sim import estimate_error_rate_batched
 from repro.store import MEMO_SCHEMA, decode_memo_cell_key, memo_cell_key
 
 
@@ -53,6 +53,21 @@ def _tiny_suite(
         )
         suite._netlists[name] = generate_circuit(spec, library)
     return suite
+
+
+def _fail_bravo_simulations(patch):
+    """Make every simulation of circuit ``bravo`` raise, whichever
+    stage the estimator would run: sequential and ``--jobs`` cells
+    both simulate through ``repro.harness.cell.simulate``."""
+
+    def estimate(circuit, *args, **kwargs):
+        if circuit.netlist.name == "bravo":
+            raise SimulationError("injected lane failure")
+        return estimate_error_rate_batched(circuit, *args, **kwargs)
+
+    patch.setattr(
+        "repro.harness.cell.estimate_error_rate_batched", estimate
+    )
 
 
 class TestMemoKeyEncoding:
@@ -408,14 +423,7 @@ class TestParallelFailures:
         self, library, monkeypatch
     ):
         suite = _tiny_suite(library, isolate=True)
-        original = vector.simulate
-
-        def simulate(kernel, *args, **kwargs):
-            if kernel.circuit.netlist.name == "bravo":
-                raise SimulationError("injected lane failure")
-            return original(kernel, *args, **kwargs)
-
-        monkeypatch.setattr(vector, "simulate", simulate)
+        _fail_bravo_simulations(monkeypatch)
         summary = run_suite_parallel(
             suite, jobs=2, methods=("base", "rvl", "grar"),
             error_rates=True,
@@ -474,14 +482,7 @@ class TestFailureParity:
             if failure == "flow":
                 corrupt_net(suite._netlists["bravo"], random.Random(0))
             else:
-                original = vector.simulate
-
-                def simulate(kernel, *args, **kwargs):
-                    if kernel.circuit.netlist.name == "bravo":
-                        raise SimulationError("injected lane failure")
-                    return original(kernel, *args, **kwargs)
-
-                patch.setattr(vector, "simulate", simulate)
+                _fail_bravo_simulations(patch)
             try:
                 if executor != "sequential":
                     run_suite_parallel(

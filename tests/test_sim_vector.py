@@ -3,14 +3,15 @@
 ``estimate_error_rate_batched(backend="compiled")`` promises
 comparison-identical :class:`~repro.sim.errorrate.ErrorRateReport`
 objects against the event oracle for every seed — including final
-flop/latch state, under injection plans, at any lane count, and on
-both the compiled C gate stage and its pure-NumPy fallback.  These
+flop/latch state, under injection plans and at any lane count.  These
 tests are that promise's acceptance gate: random circuits ×
 placements × injection plans × lane counts × lane blocks (a single
-lane and a ragged final block included) × gate stages against the
-event backend.  The rest of the file pins the estimator's dispatch,
-its counters, that a batched call reports exactly what one call per
-seed does, and how the C helper is found, built and refused.
+lane and a ragged final block included) against the event backend.
+The rest of the file pins the estimator's dispatch, its counters
+(each call names the code that ran), that a batched call reports
+exactly what one call per seed does, how the C helper is found, built
+and refused, and that ``compiled`` runs the event loop when it is not
+there.
 """
 
 import functools
@@ -50,9 +51,6 @@ SLOW = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-#: A forced NumPy-stage load outcome.
-NUMPY_STAGE = (None, "disabled")
-
 needs_compiler = pytest.mark.skipif(
     not hasattr(os, "getuid")
     or not (shutil.which("cc") or shutil.which("gcc")),
@@ -62,7 +60,13 @@ needs_compiler = pytest.mark.skipif(
 
 @functools.lru_cache(maxsize=32)
 def make_case(seed, retimed=False):
-    """A small random FSM cloud plus a placement and EDL set."""
+    """A small random FSM cloud plus a placement and EDL set.
+
+    ``retimed`` picks the placement: ``False`` leaves the slaves at
+    the master outputs (every source host-latched), ``True`` takes
+    G-RAR's (no source host-latched), and ``"half"`` retimes every
+    other source, so host-latched and plain sources launch together.
+    """
     spec = CloudSpec(
         name=f"vec{seed}",
         seed=seed,
@@ -75,7 +79,10 @@ def make_case(seed, retimed=False):
     )
     netlist = generate_circuit(spec, LIBRARY)
     scheme, circuit = prepare_circuit(netlist, LIBRARY)
-    if retimed:
+    if retimed == "half":
+        sources = [g.name for g in circuit.netlist.sources()]
+        placement = SlavePlacement(retimed=set(sources[::2]))
+    elif retimed:
         placement = grar_retime(circuit, overhead=1.0).placement
     else:
         placement = SlavePlacement.initial()
@@ -136,34 +143,29 @@ def fresh_native(monkeypatch, tmp_path):
     object); the real helper state is restored afterwards."""
     monkeypatch.setattr(_native, "_loaded", None)
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    monkeypatch.delenv("REPRO_VECTOR_NATIVE", raising=False)
     return tmp_path
 
 
 class TestVectorParity:
     @given(
         st.integers(min_value=1, max_value=10**6),
-        st.booleans(),
+        st.sampled_from([False, True, "half"]),
         st.sampled_from([1, 2, 5]),
         st.booleans(),
         st.sampled_from([vector.DEFAULT_LANE_BLOCK, 2]),
-        st.booleans(),
     )
     @SLOW
     def test_matches_event_backend(
-        self, seed, retimed, lanes, inject, lane_block, numpy_stage
+        self, seed, retimed, lanes, inject, lane_block
     ):
-        """Random circuit × placement × plan × lanes × lane block ×
-        gate stage == event."""
+        """Random circuit × placement × plan × lanes × lane block ==
+        event."""
         circuit, scheme, placement, edl = make_case(seed % 40, retimed)
         seeds = tuple(seed + 31 * k for k in range(lanes))
         plan = (
             make_plan(circuit, scheme, placement, seed) if inject else None
         )
-        loaded = NUMPY_STAGE if numpy_stage else _native.load()
-        with mock.patch.object(
-            vector, "DEFAULT_LANE_BLOCK", lane_block
-        ), mock.patch.object(_native, "_loaded", loaded):
+        with mock.patch.object(vector, "DEFAULT_LANE_BLOCK", lane_block):
             got = compiled_reports(
                 circuit, placement, edl, seeds, injection=plan
             )
@@ -180,34 +182,6 @@ class TestVectorParity:
         assert len(got) == len(seeds)
         assert all(r.backend == "compiled" for r in got)
         assert got == event_reports(circuit, placement, edl, seeds)
-
-    def test_numpy_fallback_matches_event(self, monkeypatch):
-        """With the native helper disabled the pure-NumPy gate stage
-        must produce the same reports (plain and injected)."""
-        monkeypatch.setattr(_native, "_loaded", NUMPY_STAGE)
-        circuit, scheme, placement, edl = make_case(5, retimed=True)
-        seeds = (11, 12, 13)
-        plan = make_plan(circuit, scheme, placement, 5)
-        for injection in (None, plan):
-            got = compiled_reports(
-                circuit, placement, edl, seeds, injection=injection
-            )
-            assert got == event_reports(
-                circuit, placement, edl, seeds, injection=injection
-            )
-
-    def test_native_env_switch(self, fresh_native, monkeypatch):
-        """REPRO_VECTOR_NATIVE=0 forces the NumPy stage at load time,
-        and the estimator says so."""
-        monkeypatch.setenv("REPRO_VECTOR_NATIVE", "0")
-        assert _native.load() == (None, "disabled")
-        circuit, _, placement, edl = make_case(5)
-        counters = counters_of(
-            lambda: compiled_reports(circuit, placement, edl, (1, 2))
-        )
-        assert counters["sim.stage.numpy"] == 1
-        assert counters["sim.stage.fallback.disabled"] == 1
-        assert "sim.stage.native" not in counters
 
     def test_event_cap_overflow_parity(self):
         """A too-small event cap raises the same typed error as the
@@ -267,8 +241,11 @@ class TestVectorDispatch:
 
     def test_counter_contract(self):
         """Every estimator call counts one run and cycles × lanes
-        lane-cycles, on both backends and through both entry points;
-        a compiled call also names the gate stage that ran."""
+        lane-cycles, on both backends and through both entry points,
+        and exactly one stage: ``native`` when ``compiled`` ran the C
+        helper, else ``event`` — with the reason when ``compiled``
+        fell back."""
+        native, reason = _native.load()
         circuit, _, placement, edl = make_case(9)
         for backend in SIM_BACKENDS:
             single = counters_of(lambda: estimate_error_rate(
@@ -284,12 +261,16 @@ class TestVectorDispatch:
                 assert counters["sim.batched.lanes"] == lanes
                 assert counters["sim.cycles"] == CYCLES * lanes
                 assert counters[f"sim.backend.{backend}"] == 1
-                stages = [
-                    counters.get(f"sim.stage.{stage}", 0)
-                    for stage in ("native", "numpy")
-                ]
-                expected = 1 if backend == "compiled" else 0
-                assert sum(stages) == expected, counters
+                compiled = backend == "compiled"
+                ran = "native" if compiled and native else "event"
+                expected = {f"sim.stage.{ran}": 1}
+                if compiled and native is None:
+                    expected[f"sim.stage.fallback.{reason}"] = 1
+                stages = {
+                    name: n for name, n in counters.items()
+                    if name.startswith("sim.stage.")
+                }
+                assert stages == expected, counters
 
     def test_cycles_per_sec_none_semantics(self):
         """``None`` means unmeasured and never affects comparison."""
@@ -426,6 +407,36 @@ class TestBatchedSimulation:
 
 
 class TestNativeHelper:
+    @pytest.mark.parametrize(
+        "reason", ["no-compiler", "compile-failed", "load-failed"]
+    )
+    def test_compiled_runs_the_event_loop_without_the_helper(
+        self, monkeypatch, reason
+    ):
+        """Whatever kept the helper from loading, ``compiled`` reports
+        what ``event`` does (plain and injected), through the event
+        loop and without a compile, and the counters say so."""
+        monkeypatch.setattr(_native, "_loaded", (None, reason))
+        circuit, scheme, placement, edl = make_case(5, retimed=True)
+        seeds = (11, 12, 13)
+        plan = make_plan(circuit, scheme, placement, 5)
+        for injection in (None, plan):
+            reports = []
+            with mock.patch.object(batch, "CompiledSimulator") as compile_:
+                counters = counters_of(
+                    lambda: reports.extend(compiled_reports(
+                        circuit, placement, edl, seeds, injection=injection
+                    ))
+                )
+            compile_.assert_not_called()
+            assert all(r.backend == "compiled" for r in reports)
+            assert reports == event_reports(
+                circuit, placement, edl, seeds, injection=injection
+            )
+            assert counters["sim.stage.event"] == 1
+            assert counters[f"sim.stage.fallback.{reason}"] == 1
+            assert "sim.stage.native" not in counters
+
     def test_missing_compiler_falls_back(self, fresh_native, monkeypatch):
         monkeypatch.setattr(shutil, "which", lambda name: None)
         assert _native.load() == (None, "no-compiler")
@@ -437,7 +448,7 @@ class TestNativeHelper:
                 compiled_reports(circuit, placement, edl, seeds)
             )
         )
-        assert counters["sim.stage.numpy"] == 1
+        assert counters["sim.stage.event"] == 1
         assert counters["sim.stage.fallback.no-compiler"] == 1
         assert reports == event_reports(circuit, placement, edl, seeds)
 
@@ -458,7 +469,7 @@ class TestNativeHelper:
             lambda: compiled_reports(circuit, placement, edl, (1,))
         )
         assert counters["sim.stage.native"] == 1
-        assert "sim.stage.numpy" not in counters
+        assert "sim.stage.event" not in counters
 
     @needs_compiler
     @pytest.mark.parametrize("unsafe", ["symlink", "writable", "foreign"])
